@@ -2,7 +2,9 @@
 
 Every run is seeded by hashing a stable key string, so a sweep is
 reproducible item-by-item regardless of worker scheduling, and rerunning a
-config yields byte-identical CSV. Reported storage is checked against the
+config at the same BLAS thread count yields byte-identical CSV (the thread
+count changes the BLAS reduction order, and with it the last bits of the
+rotation angles and errors). Reported storage is checked against the
 budget on every run — a factorization that overshoots its budget is a bug,
 not a data point.
 """
@@ -351,7 +353,12 @@ def format_win_table(table):
 
 
 def sweep_csv(result):
-    """Per-run rows as CSV text (no timing column: reruns are byte-identical)."""
+    """Per-run rows as CSV text.
+
+    There is no timing column, so reruns at the same BLAS thread count are
+    byte-identical; another thread count may change the last digits of the
+    errors.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RUN_CSV_HEADER.split(","))

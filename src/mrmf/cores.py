@@ -78,18 +78,64 @@ class CoreSparse:
         return self.core.size + 3 * len(self.offcore) + index_scalars
 
 
-def _offcore_candidates(h, row_set, col_set):
-    """Nonzero off-core entries sorted by (-|value|, row, col)."""
-    n = h.shape[0]
+def _offcore_mask(n, row_set, col_set):
     row_in = np.zeros(n, dtype=bool)
     col_in = np.zeros(n, dtype=bool)
     row_in[list(row_set)] = True
     col_in[list(col_set)] = True
-    mask = ~(row_in[:, None] & col_in[None, :]) & (h != 0.0)
-    rr, cc = np.nonzero(mask)
-    vv = h[rr, cc]
-    order = np.lexsort((cc, rr, -np.abs(vv)))
-    return rr[order], cc[order], vv[order]
+    return ~(row_in[:, None] & col_in[None, :])
+
+
+def _ranked_top(h, pos, size):
+    """The `size` largest-magnitude flat positions of h among pos, ranked.
+
+    The cut is a magnitude threshold found with np.partition, and entries
+    tied with it are kept, so every returned entry ranks ahead of all those
+    left out and only the kept ones are sorted, in (-|value|, row, col)
+    order (a flat position orders as (row, col)).
+    """
+    mag = np.abs(h.ravel()[pos])
+    if size < pos.size:
+        top = mag >= np.partition(mag, -size)[-size]
+        pos, mag = pos[top], mag[top]
+    return pos[np.argsort(-mag, kind="stable")]
+
+
+def _entries(h, pos):
+    rows, cols = np.divmod(pos, h.shape[0])
+    return zip(rows.tolist(), cols.tolist(), h.ravel()[pos].tolist())
+
+
+def _top(h, mask, m):
+    """The m off-core entries ranked first."""
+    if m == 0:
+        return []
+    ranked = _ranked_top(h, np.flatnonzero(mask & (h != 0.0)), m)
+    return list(_entries(h, ranked[:m]))
+
+
+def _greedy_disjoint(h, mask, limit, rows_used, cols_used):
+    """Ranked entries whose row and column are both still unused, up to limit.
+
+    Candidates are ranked in chunks that start at 2 * limit and double.
+    After each chunk, the entries now blocked (the whole chunk among them)
+    leave the pool in one vectorized step. Passing one array as both
+    rows_used and cols_used draws rows and columns from one pool of indices.
+    """
+    n = h.shape[0]
+    kept = []
+    pool = np.flatnonzero(mask & (h != 0.0))
+    size = 2 * limit
+    while pool.size and len(kept) < limit:
+        for r, c, v in _entries(h, _ranked_top(h, pool, size)):
+            if not rows_used[r] and not cols_used[c]:
+                rows_used[r] = cols_used[c] = True
+                kept.append((r, c, v))
+                if len(kept) == limit:
+                    break
+        pool = pool[~rows_used[pool // n] & ~cols_used[pool % n]]
+        size *= 2
+    return kept
 
 
 def sparsify(h, row_set, col_set, rule):
@@ -111,30 +157,21 @@ def sparsify(h, row_set, col_set, rule):
                 kept.append((i, i, float(h[i, i])))
     else:
         m = rule.m if rule.m is not None else max(n - len(row_set), 0)
-        rr, cc, vv = _offcore_candidates(h, row_set, col_set)
+        mask = _offcore_mask(n, row_set, col_set)
         if rule.kind == TOP_N:
-            for r, c, v in zip(rr[:m], cc[:m], vv[:m]):
-                kept.append((int(r), int(c), float(v)))
+            kept = _top(h, mask, m)
         else:
-            rows_used = np.zeros(n, dtype=bool)
-            cols_used = np.zeros(n, dtype=bool)
-            for r, c, v in zip(rr, cc, vv):
-                if len(kept) == m:
-                    break
-                if not rows_used[r] and not cols_used[c]:
-                    rows_used[r] = True
-                    cols_used[c] = True
-                    kept.append((int(r), int(c), float(v)))
+            kept = _greedy_disjoint(h, mask, m, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
     return CoreSparse(n, row_set, col_set, core, tuple(kept))
 
 
 def keep_all(h, row_set, col_set):
     """Untruncated CoreSparse: the whole matrix h (off-core kept verbatim)."""
-    rr, cc, vv = _offcore_candidates(h, row_set, col_set)
+    n = h.shape[0]
     core = h[np.ix_(row_set.to_array(), col_set.to_array())] if len(row_set) and len(col_set) \
         else np.zeros((len(row_set), len(col_set)))
-    kept = tuple((int(r), int(c), float(v)) for r, c, v in zip(rr, cc, vv))
-    return CoreSparse(h.shape[0], row_set, col_set, core, kept)
+    kept = _top(h, _offcore_mask(n, row_set, col_set), h.size)
+    return CoreSparse(n, row_set, col_set, core, tuple(kept))
 
 
 def murnaghan_sparsify(h, core_set):
@@ -148,28 +185,13 @@ def murnaghan_sparsify(h, core_set):
     in any skew matrix).
     """
     n = h.shape[0]
-    in_core = np.zeros(n, dtype=bool)
-    in_core[list(core_set)] = True
-    non = ~in_core
-    mask = np.triu(np.ones((n, n), dtype=bool), 1) & non[:, None] & non[None, :] & (h != 0.0)
-    rr, cc = np.nonzero(mask)
-    vv = h[rr, cc]
-    order = np.lexsort((cc, rr, -np.abs(vv)))
-    pairable = (int(non.sum()) // 2) * 2
+    non = np.ones(n, dtype=bool)
+    non[list(core_set)] = False
+    mask = np.triu(np.ones((n, n), dtype=bool), 1) & non[:, None] & non[None, :]
     used = np.zeros(n, dtype=bool)
-    paired = 0
     kept = []
-    for k in order:
-        if paired >= pairable:
-            break
-        p, q = int(rr[k]), int(cc[k])
-        if used[p] or used[q]:
-            continue
-        used[p] = used[q] = True
-        paired += 2
-        v = float(vv[k])
-        kept.append((p, q, v))
-        kept.append((q, p, -v))
+    for p, q, v in _greedy_disjoint(h, mask, int(non.sum()) // 2, used, used):
+        kept += [(p, q, v), (q, p, -v)]
     core = h[np.ix_(core_set.to_array(), core_set.to_array())] if len(core_set) \
         else np.zeros((0, 0))
     return CoreSparse(n, core_set, core_set, core, tuple(kept))

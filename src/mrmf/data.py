@@ -204,11 +204,20 @@ def fetch_suitesparse(group, name, cache_dir, http_get=None, retries=3, backoff=
     network use. Downloads retry with exponential backoff (404 is final).
     http_get(url) -> bytes is injectable for tests and offline mirrors.
     cache writes are atomic (temp file + rename), so concurrent fetches of
-    the same matrix are safe.
+    the same matrix are safe. A cached file that no longer parses is renamed
+    to name.mtx.corrupt and reported as a FetchError, so the next fetch
+    downloads it again.
     """
     cache_path = Path(cache_dir) / group / f"{name}.mtx"
     if cache_path.exists():
-        A, meta = parse_matrix_market(cache_path.read_bytes())
+        try:
+            A, meta = parse_matrix_market(cache_path.read_bytes())
+        except MatrixFormatError as exc:
+            quarantine = cache_path.with_name(f"{name}.mtx.corrupt")
+            os.replace(cache_path, quarantine)
+            raise FetchError(
+                f"corrupt cache entry for {group}/{name} moved to {quarantine}: {exc}"
+            ) from exc
         return A, _pin_identity(meta, group, name)
 
     get = http_get if http_get is not None else _default_http_get

@@ -5,22 +5,30 @@ block: each retirement swaps the retired row/column with the last active one,
 so every per-level Gram product runs on a contiguous view. A permutation
 array maps positions back to original labels; recorded rotations always carry
 original labels.
+
+Both sweeps run one row-level kernel. On the transposed view ``a.T`` a row
+rotation or swap is the column rotation or swap of ``a``, with the same
+elementwise arithmetic, so the direct column phase is the kernel on ``a.T``
+and conjugation is the kernel that also applies each row step to ``a.T``.
+Each sweep draws all its pivots with one ``rng.integers(highs)`` call, the
+same stream as one scalar draw per level.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .matrices import GivensRotation, givens_from_gram2, rotate_cols_inplace, rotate_rows_inplace
+from .matrices import GivensRotation, givens_from_gram2
 
 
-def _argmax_by_label(scores, labels, k):
-    """Position of the max over scores[:k]; ties resolved by smallest label."""
-    view = scores[:k]
-    best = view.max()
-    tied = np.flatnonzero(view == best)
+def _argmax_by_label(scores, labels):
+    """Position of the max score; ties resolved by smallest label."""
+    best = scores.argmax()
+    tied = (scores == scores[best]).nonzero()[0]
     if tied.size == 1:
-        return int(tied[0])
+        return int(best)
     return int(tied[np.argmin(labels[tied])])
 
 
@@ -32,16 +40,50 @@ def _pick_retire(pos_a, pos_b, mass_a, mass_b, labels):
     return pos_a if labels[pos_a] <= labels[pos_b] else pos_b
 
 
-def _swap_rows(a, perm, p, q):
-    if p != q:
-        a[[p, q], :] = a[[q, p], :]
-        perm[[p, q]] = perm[[q, p]]
+def _level(a, rows, cols, ip, labels, conjugate=False, callback=None):
+    """One greedy level on the leading rows x cols block of a.
 
+    Pairs row ip with its most similar active row (ties go to the smaller
+    label), rotates the pair to diagonalize their 2x2 Gram block, then
+    retires the member with the smaller active-row mass (ties again to the
+    smaller label) by swapping it, and its label, to position rows - 1.
+    With conjugate, the columns (the rows of ``a.T``) get the same rotation
+    and swap, and the retirement mass leaves out the diagonal entry.
 
-def _swap_cols(a, perm, p, q):
-    if p != q:
-        a[:, [p, q]] = a[:, [q, p]]
-        perm[[p, q]] = perm[[q, p]]
+    Returns (rotation, retired label).
+    """
+    x = a[ip, :cols]
+    sims = a[:rows, :cols] @ x
+    g_ii = float(sims[ip])
+    sims[ip] = -np.inf
+    jp = _argmax_by_label(sims, labels)
+    y = a[jp, :cols]
+    theta = givens_from_gram2(g_ii, float(sims[jp]), float(y @ y))
+    rotation = GivensRotation(int(labels[ip]), int(labels[jp]), theta, a.shape[0])
+    c, s = math.cos(theta), math.sin(theta)
+    sides = (a, a.T) if conjugate else (a,)
+    for m in sides:
+        # rows (p, q) <- (c p + s q, -s p + c q) with the arithmetic of
+        # rotate_rows_inplace: c q - s p is exactly -s p + c q
+        p, q = m[ip], m[jp]
+        rotated = c * p + s * q
+        q *= c
+        q -= s * p
+        p[...] = rotated
+    if callback is not None:
+        callback(a)
+    mi, mj = float(x @ x), float(y @ y)
+    if conjugate:  # off-diagonal mass only
+        mi -= float(a[ip, ip]) ** 2
+        mj -= float(a[jp, jp]) ** 2
+    tp = _pick_retire(ip, jp, mi, mj, labels)
+    last = rows - 1
+    for m in sides:
+        row = m[tp].copy()
+        m[tp] = m[last]
+        m[last] = row
+    labels[tp], labels[last] = labels[last], labels[tp]
+    return rotation, int(labels[last])
 
 
 def conjugation_sweep(a, core_size, rng, level_callback=None):
@@ -49,41 +91,19 @@ def conjugation_sweep(a, core_size, rng, level_callback=None):
 
     Runs until core_size positions stay active (but never below one). Mutates
     `a` in place; on exit a holds the rotated matrix with rows and columns
-    permuted identically by the returned label array.
+    permuted identically by the returned label array. level_callback, when
+    given, sees the working matrix after every rotation.
 
     Returns (rotations, perm, retired_labels).
     """
     n = a.shape[0]
     perm = np.arange(n)
-    k = n
-    stop = max(core_size, 1)
-    rotations = []
-    retired = []
-    while k > stop:
-        ip = int(rng.integers(k))
-        sims = a[:k, :k] @ a[ip, :k]
-        g_ii = float(sims[ip])
-        sims[ip] = -np.inf
-        jp = _argmax_by_label(sims, perm, k)
-        g_ij = float(sims[jp])
-        g_jj = float(a[jp, :k] @ a[jp, :k])
-        theta = givens_from_gram2(g_ii, g_ij, g_jj)
-        rotations.append(GivensRotation(int(perm[ip]), int(perm[jp]), theta, n))
-        rotate_rows_inplace(a, ip, jp, theta)
-        rotate_cols_inplace(a, ip, jp, theta)
-        if level_callback is not None:
-            level_callback(a)
-        # retire the pair member whose active row carries less off-diagonal mass
-        mi = float(a[ip, :k] @ a[ip, :k]) - float(a[ip, ip]) ** 2
-        mj = float(a[jp, :k] @ a[jp, :k]) - float(a[jp, jp]) ** 2
-        tp = _pick_retire(ip, jp, mi, mj, perm)
-        retired.append(int(perm[tp]))
-        # rows and columns share one label array here, so swap it only once
-        if tp != k - 1:
-            a[[tp, k - 1], :] = a[[k - 1, tp], :]
-            a[:, [tp, k - 1]] = a[:, [k - 1, tp]]
-            perm[[tp, k - 1]] = perm[[k - 1, tp]]
-        k -= 1
+    highs = np.arange(n, max(core_size, 1), -1)
+    rotations, retired = [], []
+    for k, ip in zip(highs.tolist(), rng.integers(highs).tolist()):
+        rotation, label = _level(a, k, k, ip, perm, conjugate=True, callback=level_callback)
+        rotations.append(rotation)
+        retired.append(label)
     return rotations, perm, retired
 
 
@@ -97,46 +117,18 @@ def two_basis_sweep(a, core_size, rng):
     Returns (left, right, row_perm, col_perm, row_retired, col_retired).
     """
     n = a.shape[0]
-    row_perm = np.arange(n)
-    col_perm = np.arange(n)
-    kr = kc = n
+    row_perm, col_perm = np.arange(n), np.arange(n)
     left, right = [], []
     row_retired, col_retired = [], []
-    for _ in range(n - core_size):
-        # row phase: partner by row similarity over active columns
-        ip = int(rng.integers(kr))
-        sims = a[:kr, :kc] @ a[ip, :kc]
-        g_ii = float(sims[ip])
-        sims[ip] = -np.inf
-        jp = _argmax_by_label(sims, row_perm, kr)
-        g_ij = float(sims[jp])
-        g_jj = float(a[jp, :kc] @ a[jp, :kc])
-        theta = givens_from_gram2(g_ii, g_ij, g_jj)
-        left.append(GivensRotation(int(row_perm[ip]), int(row_perm[jp]), theta, n))
-        rotate_rows_inplace(a, ip, jp, theta)
-        mi = float(a[ip, :kc] @ a[ip, :kc])
-        mj = float(a[jp, :kc] @ a[jp, :kc])
-        tp = _pick_retire(ip, jp, mi, mj, row_perm)
-        row_retired.append(int(row_perm[tp]))
-        _swap_rows(a, row_perm, tp, kr - 1)
-        kr -= 1
-        # column phase: mirror image on the column Gram
-        ipc = int(rng.integers(kc))
-        simsc = a[:kr, :kc].T @ a[:kr, ipc]
-        g_ii = float(simsc[ipc])
-        simsc[ipc] = -np.inf
-        jpc = _argmax_by_label(simsc, col_perm, kc)
-        g_ij = float(simsc[jpc])
-        g_jj = float(a[:kr, jpc] @ a[:kr, jpc])
-        theta = givens_from_gram2(g_ii, g_ij, g_jj)
-        right.append(GivensRotation(int(col_perm[ipc]), int(col_perm[jpc]), theta, n))
-        rotate_cols_inplace(a, ipc, jpc, theta)
-        mi = float(a[:kr, ipc] @ a[:kr, ipc])
-        mj = float(a[:kr, jpc] @ a[:kr, jpc])
-        tpc = _pick_retire(ipc, jpc, mi, mj, col_perm)
-        col_retired.append(int(col_perm[tpc]))
-        _swap_cols(a, col_perm, tpc, kc - 1)
-        kc -= 1
+    levels = np.arange(n, core_size, -1)
+    pivots = rng.integers(np.repeat(levels, 2)).reshape(-1, 2).tolist()
+    for k, (ip, ipc) in zip(levels.tolist(), pivots):
+        rotation, label = _level(a, k, k, ip, row_perm)
+        left.append(rotation)
+        row_retired.append(label)
+        rotation, label = _level(a.T, k, k - 1, ipc, col_perm)
+        right.append(rotation)
+        col_retired.append(label)
     return left, right, row_perm, col_perm, row_retired, col_retired
 
 
@@ -147,20 +139,45 @@ def unpermute(a, row_perm, col_perm):
     return out
 
 
+def _unrotate_rows(m, rotations):
+    """m <- G_1 ... G_L m, applying the rotations in reverse order by waves.
+
+    A rotation joins the wave after the last one that touched either of its
+    indices, so each wave holds disjoint pairs and moves in one
+    fancy-indexed update with the arithmetic of rotate_rows_inplace.
+    """
+    last = {}
+    waves = []
+    for g in reversed(rotations):
+        w = 1 + max(last.get(g.i, -1), last.get(g.j, -1))
+        last[g.i] = last[g.j] = w
+        if w == len(waves):
+            waves.append([])
+        waves[w].append(g)
+    for wave in waves:
+        i = np.array([g.i for g in wave])
+        j = np.array([g.j for g in wave])
+        c = np.array([[math.cos(-g.theta)] for g in wave])
+        s = np.array([[math.sin(-g.theta)] for g in wave])
+        ri, rj = m[i], m[j]
+        m[i] = c * ri + s * rj
+        m[j] = -s * ri + c * rj
+
+
+def _reconstruct(h, left, right):
+    """Undo the left rotations on the rows of h, then the right ones on its columns."""
+    m = np.array(h, dtype=np.float64)
+    _unrotate_rows(m, left)
+    m = np.ascontiguousarray(m.T)
+    _unrotate_rows(m, right)
+    return m.T
+
+
 def conjugate_reconstruct(h, rotations):
     """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order."""
-    m = np.array(h, dtype=np.float64)
-    for g in reversed(rotations):
-        rotate_rows_inplace(m, g.i, g.j, -g.theta)
-        rotate_cols_inplace(m, g.i, g.j, -g.theta)
-    return m
+    return _reconstruct(h, rotations, rotations)
 
 
 def two_basis_reconstruct(h, left, right):
     """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders."""
-    m = np.array(h, dtype=np.float64)
-    for g in reversed(left):
-        rotate_rows_inplace(m, g.i, g.j, -g.theta)
-    for g in reversed(right):
-        rotate_cols_inplace(m, g.i, g.j, -g.theta)
-    return m
+    return _reconstruct(h, left, right)

@@ -245,14 +245,6 @@ def apply_givens(A, rotation, side):
     return SquareMatrix.from_dense(a)
 
 
-def givens_product(rotations, n):
-    """Dense product G_1 G_2 ... G_L of a rotation sequence (identity if empty)."""
-    m = np.eye(n)
-    for g in rotations:
-        rotate_cols_inplace(m, g.i, g.j, g.theta)
-    return m
-
-
 def givens_from_gram2(g_ii, g_ij, g_jj):
     """Rotation angle diagonalizing the symmetric 2x2 [[g_ii, g_ij], [g_ij, g_jj]].
 
@@ -355,14 +347,6 @@ def numerical_symmetry(A):
     found = codes[pos_clip] == mirror
     matched = found & (vals[pos_clip] == vals)
     return float(np.count_nonzero(matched) / rows.size)
-
-
-def max_abs(A):
-    if A.is_sparse:
-        _, _, vals = A.to_coo()
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    d = A.to_dense()
-    return float(np.max(np.abs(d))) if d.size else 0.0
 
 
 def check_symmetric(a, tol=1e-12):

@@ -104,6 +104,20 @@ def test_factor_missing_file_is_usage_error(cli_env, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_factor_corrupt_cache_entry_exits_1(tmp_path, capsys):
+    cached = tmp_path / "Bad" / "junk.mtx"
+    cached.parent.mkdir()
+    cached.write_bytes(b"garbage\n")
+    rc = main([
+        "factor", "--matrix", "Bad/junk", "--method", "cur",
+        "--fraction", "0.25", "--cache-dir", str(tmp_path),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "corrupt cache entry" in captured.err
+    assert (tmp_path / "Bad" / "junk.mtx.corrupt").exists()
+
+
 def test_factor_bad_matrix_spec(cli_env, capsys):
     rc = main(["factor", "--matrix", "tiny", "--method", "cur", "--fraction", "0.25"])
     captured = capsys.readouterr()

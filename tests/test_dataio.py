@@ -223,6 +223,29 @@ def test_fetch_invalid_mtx_not_cached(tmp_path):
     assert not (tmp_path / "G" / "badmtx.mtx").exists()
 
 
+def test_fetch_corrupt_cache_is_quarantined_then_refetched(tmp_path):
+    cached = tmp_path / "G" / "stale.mtx"
+    cached.parent.mkdir()
+    cached.write_bytes(b"not a matrix market file\n")
+    calls = []
+
+    def get(url):
+        calls.append(url)
+        return make_collection_archive("stale", SMALL_MTX)
+
+    with pytest.raises(FetchError) as err:
+        fetch_suitesparse("G", "stale", tmp_path, http_get=get, backoff=0.0)
+    assert "corrupt cache entry" in str(err.value)
+    assert not calls  # the failing fetch never downloads
+    assert not cached.exists()
+    assert (tmp_path / "G" / "stale.mtx.corrupt").read_bytes() == b"not a matrix market file\n"
+
+    A, meta = fetch_suitesparse("G", "stale", tmp_path, http_get=get, backoff=0.0)
+    assert len(calls) == 1
+    assert A.n == 3 and meta.name == "stale"
+    assert cached.read_bytes() == SMALL_MTX
+
+
 # ---------------------------------------------------------------- decay family
 
 
