@@ -15,6 +15,7 @@ import tarfile
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ SUITESPARSE_URL = "https://sparse.tamu.edu/MM/{group}/{name}.tar.gz"
 _HEADER_RE = re.compile(
     r"^%%MatrixMarket\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.IGNORECASE
 )
+_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 class FetchError(RuntimeError):
@@ -80,13 +82,14 @@ def parse_matrix_market(data):
     skew-symmetric with a negated mirror. Returns (matrix, metadata); the
     metadata name/group/kind come from collection-style comment lines when
     present, and numerical_symmetry is computed from the expanded matrix.
+    Every entry line holds exactly three fields: row, column, value.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
-    lines = data.splitlines()
-    if not lines:
+    if not data:
         raise MatrixFormatError("empty input")
-    m = _HEADER_RE.match(lines[0])
+    fh = io.StringIO(data, newline=None)
+    m = _HEADER_RE.match(fh.readline())
     if m is None:
         raise MatrixFormatError("malformed Matrix Market header line")
     obj, fmt, field, symmetry = (s.lower() for s in m.groups())
@@ -99,20 +102,13 @@ def parse_matrix_market(data):
     if symmetry not in ("general", "symmetric", "skew-symmetric"):
         raise MatrixFormatError(f"unsupported symmetry {symmetry!r}")
 
+    lines = (line.strip() for line in fh)
     comments = []
-    size_line = None
-    body_start = len(lines)
-    for idx in range(1, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("%"):
-            comments.append(stripped)
-            continue
-        size_line = stripped
-        body_start = idx + 1
-        break
-    if size_line is None:
+    for size_line in filter(None, lines):
+        if not size_line.startswith("%"):
+            break
+        comments.append(size_line)
+    else:
         raise MatrixFormatError("missing size line")
     parts = size_line.split()
     if len(parts) != 3:
@@ -125,27 +121,30 @@ def parse_matrix_market(data):
         raise MatrixFormatError(f"matrix is {nrows}x{ncols}, not square")
     n = nrows
 
-    entries = [ln.split() for ln in lines[body_start:] if ln.strip() and not ln.lstrip().startswith("%")]
-    if len(entries) != count:
-        raise MatrixFormatError(f"size line promises {count} entries, found {len(entries)}")
-    if count:
+    # loadtxt warns on a body without entry lines, so it only sees bodies
+    # that start with one
+    first = next((line for line in lines if line and not line.startswith("%")), None)
+    entries = np.zeros(0, dtype=_ENTRY_DTYPE)
+    if first is not None:
         try:
-            rows = np.array([int(e[0]) for e in entries], dtype=np.int64) - 1
-            cols = np.array([int(e[1]) for e in entries], dtype=np.int64) - 1
-            vals = np.array([float(e[2]) for e in entries], dtype=np.float64)
-        except (ValueError, IndexError):
+            entries = np.loadtxt(chain([first], fh), dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
+        except ValueError:
             raise MatrixFormatError("malformed coordinate line") from None
-        if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-            raise MatrixFormatError("coordinate index out of range")
-        codes = rows * n + cols
-        if np.unique(codes).size != codes.size:
-            raise MatrixFormatError("duplicate coordinates")
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.float64)
+    if entries.size != count:
+        raise MatrixFormatError(f"size line promises {count} entries, found {entries.size}")
+    rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
+    if count and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
+        raise MatrixFormatError("coordinate index out of range")
 
-    if symmetry != "general" and count:
+    if symmetry != "general":
+        # an explicit repeat or an explicit mirror pair both repeat a
+        # lower-triangle code; from_coo checks the general case
+        lower = np.maximum(rows, cols) * n + np.minimum(rows, cols)
+        if not np.all(lower[1:] > lower[:-1]) and np.any(np.diff(np.sort(lower)) == 0):
+            codes = rows * n + cols
+            if np.unique(codes).size != codes.size:
+                raise MatrixFormatError("duplicate coordinates")
+            raise MatrixFormatError("folded entry mirrors an explicit coordinate")
         off = rows != cols
         mirror_vals = vals[off] if symmetry == "symmetric" else -vals[off]
         rows, cols, vals = (
@@ -153,9 +152,6 @@ def parse_matrix_market(data):
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, mirror_vals]),
         )
-        codes = rows * n + cols
-        if np.unique(codes).size != codes.size:
-            raise MatrixFormatError("folded entry mirrors an explicit coordinate")
 
     A = SquareMatrix.from_coo(n, rows, cols, vals)
     name, group, kind = _scrape_comments(comments)
@@ -166,12 +162,10 @@ def parse_matrix_market(data):
 def write_matrix_market(A):
     """Serialize as general coordinate real text, value-exact on round-trip."""
     rows, cols, vals = A.to_coo()
-    out = io.StringIO()
-    out.write("%%MatrixMarket matrix coordinate real general\n")
-    out.write(f"{A.n} {A.n} {len(vals)}\n")
-    for r, c, v in zip(rows, cols, vals):
-        out.write(f"{r + 1} {c + 1} {v:.17g}\n")
-    return out.getvalue().encode("ascii")
+    cells = [None] * (3 * vals.size)
+    cells[0::3], cells[1::3], cells[2::3] = (rows + 1).tolist(), (cols + 1).tolist(), vals.tolist()
+    head = f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {vals.size}\n"
+    return (head + "%d %d %.17g\n" * vals.size % tuple(cells)).encode("ascii")
 
 
 def _default_http_get(url, timeout=60.0):

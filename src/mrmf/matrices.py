@@ -69,13 +69,15 @@ class SquareMatrix:
             raise MatrixFormatError("coordinate arrays must be equal-length 1-d")
         if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise MatrixFormatError("coordinate out of range")
+        codes = rows * n + cols
+        if not np.all(codes[1:] > codes[:-1]):
+            order = np.argsort(codes)
+            codes = codes[order]
+            if np.any(codes[1:] == codes[:-1]):
+                raise MatrixFormatError("duplicate coordinate entry")
+            rows, cols, vals = rows[order], cols[order], vals[order]
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        codes = rows * n + cols
-        order = np.argsort(codes, kind="stable")
-        rows, cols, vals, codes = rows[order], cols[order], vals[order], codes[order]
-        if codes.size > 1 and np.any(codes[1:] == codes[:-1]):
-            raise MatrixFormatError("duplicate coordinate entry")
         for a in (rows, cols, vals):
             a.flags.writeable = False
         return cls(n, coo=(rows, cols, vals))
@@ -338,9 +340,7 @@ def numerical_symmetry(A):
     if rows.size == 0:
         return 1.0
     n = A.n
-    codes = rows * n + cols
-    order = np.argsort(codes)
-    rows, cols, vals, codes = rows[order], cols[order], vals[order], codes[order]
+    codes = rows * n + cols  # sorted: to_coo() is row-major for both storage forms
     mirror = cols * n + rows
     pos = np.searchsorted(codes, mirror)
     pos_clip = np.minimum(pos, codes.size - 1)

@@ -104,6 +104,10 @@ def test_writer_17_digit_round_trip():
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", "promises"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", "malformed"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", "malformed"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 9 9\n", "malformed"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1_0\n", "malformed"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 0\n1 1 1.0\n", "promises"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n% no entries\n\n", "promises"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "range"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n", "range"),
         (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mrmf import (
     GivensRotation,
     IndexSet,
+    MatrixFormatError,
     SquareMatrix,
     apply_givens,
     frobenius_relative_error,
@@ -66,6 +67,11 @@ def test_split_sparse_path_matches_dense():
     a = A.to_dense()
     assert np.allclose(S.to_dense(), (a + a.T) * 0.5, atol=1e-15)
     assert np.allclose(K.to_dense(), (a - a.T) * 0.5, atol=1e-15)
+
+
+def test_from_coo_rejects_duplicate_explicit_zero():
+    with pytest.raises(MatrixFormatError, match="duplicate"):
+        SquareMatrix.from_coo(2, [0, 0], [0, 0], [0.0, 1.0])
 
 
 # ---------------------------------------------------------------- apply_givens
@@ -245,6 +251,19 @@ def test_numerical_symmetry_two_thirds():
 
 def test_numerical_symmetry_diagonal_only():
     assert numerical_symmetry(dense(np.diag([1.0, 2.0]))) == 1.0
+
+
+@given(st.integers(1, 7), st.data())
+def test_numerical_symmetry_matches_brute_force(n, data):
+    # few distinct values, so mirrored pairs often match exactly
+    cells = st.lists(st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5]), min_size=n * n, max_size=n * n)
+    a = np.array(data.draw(cells)).reshape(n, n)
+    off = [(i, j) for i in range(n) for j in range(n) if i != j and a[i, j] != 0.0]
+    matched = sum(a[j, i] == a[i, j] for i, j in off)
+    want = matched / len(off) if off else 1.0
+    rows, cols = np.nonzero(a.T)  # column-major, so from_coo has to sort
+    assert numerical_symmetry(dense(a)) == want
+    assert numerical_symmetry(SquareMatrix.from_coo(n, cols, rows, a[cols, rows])) == want
 
 
 # ---------------------------------------------------------------- properties
