@@ -14,6 +14,7 @@ import re
 import tarfile
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -126,10 +127,14 @@ def parse_matrix_market(data):
     first = next((line for line in lines if line and not line.startswith("%")), None)
     entries = np.zeros(0, dtype=_ENTRY_DTYPE)
     if first is not None:
-        try:
-            entries = np.loadtxt(chain([first], fh), dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
-        except ValueError:
-            raise MatrixFormatError("malformed coordinate line") from None
+        # older numpy reads "1.5" or "1e0" in an integer field by truncating
+        # it and only warns; that warning must refuse the line too
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            try:
+                entries = np.loadtxt(chain([first], fh), dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
+            except (ValueError, DeprecationWarning):
+                raise MatrixFormatError("malformed coordinate line") from None
     if entries.size != count:
         raise MatrixFormatError(f"size line promises {count} entries, found {entries.size}")
     rows, cols, vals = entries["row"] - 1, entries["col"] - 1, entries["val"]
@@ -137,14 +142,6 @@ def parse_matrix_market(data):
         raise MatrixFormatError("coordinate index out of range")
 
     if symmetry != "general":
-        # an explicit repeat or an explicit mirror pair both repeat a
-        # lower-triangle code; from_coo checks the general case
-        lower = np.maximum(rows, cols) * n + np.minimum(rows, cols)
-        if not np.all(lower[1:] > lower[:-1]) and np.any(np.diff(np.sort(lower)) == 0):
-            codes = rows * n + cols
-            if np.unique(codes).size != codes.size:
-                raise MatrixFormatError("duplicate coordinates")
-            raise MatrixFormatError("folded entry mirrors an explicit coordinate")
         off = rows != cols
         mirror_vals = vals[off] if symmetry == "symmetric" else -vals[off]
         rows, cols, vals = (
@@ -153,7 +150,16 @@ def parse_matrix_market(data):
             np.concatenate([vals, mirror_vals]),
         )
 
-    A = SquareMatrix.from_coo(n, rows, cols, vals)
+    try:
+        A = SquareMatrix.from_coo(n, rows, cols, vals)
+    except MatrixFormatError as exc:
+        # an unfolded repeat that the file itself does not repeat is a
+        # folded entry meeting its explicit mirror
+        if symmetry == "general" or "duplicate" not in str(exc):
+            raise
+        if np.unique(rows[:count] * n + cols[:count]).size < count:
+            raise
+        raise MatrixFormatError("folded entry mirrors an explicit coordinate") from None
     name, group, kind = _scrape_comments(comments)
     meta = MatrixMetadata(name, group, n, A.nnz, kind, numerical_symmetry(A))
     return A, meta

@@ -1,6 +1,7 @@
 """Matrix Market parsing/writing, collection fetching, synthetic generators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,12 +107,19 @@ def test_writer_17_digit_round_trip():
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", "malformed"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 9 9\n", "malformed"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1_0\n", "malformed"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 1.0\n", "malformed"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1. 1.0\n", "malformed"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1e0 1 1.0\n", "malformed"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 0\n1 1 1.0\n", "promises"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n% no entries\n\n", "promises"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "range"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n", "range"),
         (
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1 1 2.0\n",
+            "duplicate",
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n2 1 2.0\n",
             "duplicate",
         ),
         (
@@ -124,6 +132,18 @@ def test_parse_error_taxonomy(text, fragment):
     with pytest.raises(MatrixFormatError) as err:
         parse_matrix_market(text)
     assert fragment in str(err.value).lower()
+
+
+def test_parse_refuses_index_truncated_with_a_warning(monkeypatch):
+    # older numpy reads "2.9" in an integer loadtxt field as 2 and only
+    # warns; the parser must refuse the line there as well
+    def truncating_loadtxt(fh, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(2, 1, 1.0)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    with pytest.raises(MatrixFormatError, match="malformed"):
+        parse_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2 1\n2.9 1 1.0\n")
 
 
 # ---------------------------------------------------------------- fetching
