@@ -35,7 +35,7 @@ def main(argv=None):
         print()
         print(format_win_table(table))
     print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return 1 if result.failures else 0
 
 
 if __name__ == "__main__":

@@ -74,7 +74,9 @@ def _cmd_sweep(args):
     for table in result.win_tables.values():
         print()
         print(format_win_table(table))
-    return 0
+    for failure in result.failures:
+        print(f"FAIL {failure['matrix']} {failure['stage']}: {failure['error']}", file=sys.stderr)
+    return 1 if result.failures else 0
 
 
 def _cmd_decay(args):

@@ -63,8 +63,8 @@ def _level(a, rows, cols, ip, labels, conjugate=False, callback=None):
     c, s = math.cos(theta), math.sin(theta)
     sides = (a, a.T) if conjugate else (a,)
     for m in sides:
-        # rows (p, q) <- (c p + s q, -s p + c q) with the arithmetic of
-        # rotate_rows_inplace: c q - s p is exactly -s p + c q
+        # rows (p, q) <- (c p + s q, -s p + c q); q is updated in place as
+        # c q - s p, which rounds exactly as -s p + c q does
         p, q = m[ip], m[jp]
         rotated = c * p + s * q
         q *= c
@@ -144,7 +144,8 @@ def _unrotate_rows(m, rotations):
 
     A rotation joins the wave after the last one that touched either of its
     indices, so each wave holds disjoint pairs and moves in one
-    fancy-indexed update with the arithmetic of rotate_rows_inplace.
+    fancy-indexed update: rows (i, j) <- (c r_i + s r_j, -s r_i + c r_j)
+    with c = cos(-theta), s = sin(-theta).
     """
     last = {}
     waves = []

@@ -5,10 +5,15 @@ only test that exercises a cache miss asserts the failure path.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrmf
 from mrmf import SquareMatrix, parse_matrix_market, write_matrix_market
 from mrmf.bench import RUN_CSV_HEADER, compression_error, derive_seed
 from mrmf.cli import main
@@ -188,6 +193,40 @@ def test_sweep_subcommand(cli_env, capsys, tmp_path):
     json.loads(csv_out.with_suffix(".json").read_text())
 
 
+def test_sweep_with_corrupt_cache_entry_writes_outputs_and_exits_1(cli_env, capsys, tmp_path):
+    _, _, _, mtx = cli_env
+    cache = tmp_path / "cache"
+    (cache / "Test").mkdir(parents=True)
+    (cache / "Test" / "tiny.mtx").write_bytes(mtx.read_bytes())
+    (cache / "Bad").mkdir()
+    (cache / "Bad" / "junk.mtx").write_bytes(b"garbage\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("Test/tiny\nBad/junk\n")
+    csv_out = tmp_path / "sweep.csv"
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        f"manifest = {manifest}\n"
+        "methods = cur\n"
+        "fractions = 0.25\n"
+        "trials = 1\n"
+        f"output = {csv_out}\n"
+        f"cache_dir = {cache}\n"
+        "max_workers = 1\n"
+    )
+    rc = main(["sweep", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "1 runs, 1 failures" in captured.out
+    assert "FAIL Bad/junk load: corrupt cache entry" in captured.err
+    assert (cache / "Bad" / "junk.mtx.corrupt").exists()
+    assert not (cache / "Bad" / "junk.mtx").exists()
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == RUN_CSV_HEADER
+    assert len(lines) == 2
+    report = json.loads(csv_out.with_suffix(".json").read_text())
+    assert [(f["matrix"], f["stage"]) for f in report["failures"]] == [("Bad/junk", "load")]
+
+
 def test_sweep_bad_config_is_usage_error(cli_env, capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("manifest=m.txt\nbudget=3\n")
@@ -195,3 +234,16 @@ def test_sweep_bad_config_is_usage_error(cli_env, capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 2
     assert "unknown config key" in captured.err
+
+
+@pytest.mark.parametrize("module", ["mrmf", "mrmf.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # start-up cost: scipy.sparse alone took longer to import than all of mrmf
+    src = str(Path(mrmf.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

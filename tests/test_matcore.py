@@ -1,4 +1,4 @@
-"""Core matrix kernel tests: splits, rotations, angle rule, Gram helpers."""
+"""Core matrix kernel tests: splits, rotations, angle rule, error and symmetry metrics."""
 
 import math
 
@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from mrmf import (
     GivensRotation,
-    IndexSet,
     MatrixFormatError,
     SquareMatrix,
-    apply_givens,
     frobenius_relative_error,
     givens_from_gram2,
     numerical_symmetry,
-    row_gram,
     split_symmetric_skew,
 )
 
@@ -54,82 +51,51 @@ def test_split_random_recombines():
             assert k[i, j] == (a[i, j] - a[j, i]) * 0.5
 
 
-def test_split_sparse_path_matches_dense():
-    rng = np.random.default_rng(8)
-    n = 300
-    rows = rng.integers(0, n, 200)
-    cols = rng.integers(0, n, 200)
-    vals = rng.standard_normal(200)
-    keep = np.unique(rows * n + cols, return_index=True)[1]
-    A = SquareMatrix.from_coo(n, rows[keep], cols[keep], vals[keep])
-    assert A.is_sparse
+# a value of every scale the split must carry exactly: ordinary, subnormal
+# (halving rounds them) and near 1e300 (a + t must not overflow)
+_split_values = st.builds(
+    lambda mag, neg: -mag if neg else mag,
+    st.one_of(
+        st.floats(1e-3, 1e3),
+        st.floats(5e-324, 2.2e-308),
+        st.floats(1e299, 1e300),
+    ),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.integers(1, 8), st.integers(513, 1100)), st.data())
+def test_split_coo_matches_dense_split(n, data):
+    entries = {}
+    picks = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), _split_values,
+        st.sampled_from(["lone", "diagonal", "pair", "equal", "negated"]),
+    )
+    for i, j, v, kind in data.draw(st.lists(picks, max_size=40)):
+        if kind == "diagonal":
+            entries[(i, i)] = v
+            continue
+        entries[(i, j)] = v
+        if i != j and kind != "lone":
+            w = {"pair": data.draw(_split_values), "equal": v, "negated": -v}[kind]
+            entries[(j, i)] = w
+    coords = data.draw(st.permutations(sorted(entries)))  # from_coo must sort
+    rows = [i for i, _ in coords]
+    cols = [j for _, j in coords]
+    A = SquareMatrix.from_coo(n, rows, cols, [entries[c] for c in coords])
     S, K = split_symmetric_skew(A)
-    a = A.to_dense()
-    assert np.allclose(S.to_dense(), (a + a.T) * 0.5, atol=1e-15)
-    assert np.allclose(K.to_dense(), (a - a.T) * 0.5, atol=1e-15)
+    assert S.is_sparse and K.is_sparse
+    want = split_symmetric_skew(dense(A.to_dense()))
+    for got, ref in zip((S, K), want):
+        for x, y in zip(got.to_coo(), ref.to_coo()):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y)
 
 
 def test_from_coo_rejects_duplicate_explicit_zero():
     with pytest.raises(MatrixFormatError, match="duplicate"):
         SquareMatrix.from_coo(2, [0, 0], [0, 0], [0.0, 1.0])
-
-
-# ---------------------------------------------------------------- apply_givens
-
-
-def test_givens_zero_angle_is_identity():
-    a = np.arange(9.0).reshape(3, 3)
-    g = GivensRotation(0, 2, 0.0, 3)
-    assert np.array_equal(apply_givens(dense(a), g, "left-transpose").to_dense(), a)
-    assert np.array_equal(apply_givens(dense(a), g, "right").to_dense(), a)
-
-
-def test_givens_quarter_turn_on_identity():
-    g = GivensRotation(0, 1, math.pi / 2, 2)
-    out = apply_givens(dense(np.eye(2)), g, "left-transpose").to_dense()
-    assert np.allclose(out, g.matrix().T, atol=1e-15)
-
-
-def test_givens_matches_dense_product():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4))
-    g = GivensRotation(1, 3, 0.7, 4)
-    gm = g.matrix()
-    left = apply_givens(dense(a), g, "left-transpose").to_dense()
-    right = apply_givens(dense(a), g, "right").to_dense()
-    assert np.max(np.abs(left - gm.T @ a)) <= 1e-13
-    assert np.max(np.abs(right - a @ gm)) <= 1e-13
-    # untouched rows/columns are bit-identical
-    assert np.array_equal(left[[0, 2]], a[[0, 2]])
-    assert np.array_equal(right[:, [0, 2]], a[:, [0, 2]])
-
-
-def test_givens_sparse_path_matches_dense():
-    n = 300
-    rng = np.random.default_rng(11)
-    rows = rng.integers(0, n, 150)
-    cols = rng.integers(0, n, 150)
-    vals = rng.standard_normal(150)
-    keep = np.unique(rows * n + cols, return_index=True)[1]
-    A = SquareMatrix.from_coo(n, rows[keep], cols[keep], vals[keep])
-    assert A.is_sparse
-    g = GivensRotation(7, 250, -1.2, n)
-    gm = g.matrix()
-    a = A.to_dense()
-    left = apply_givens(A, g, "left-transpose").to_dense()
-    right = apply_givens(A, g, "right").to_dense()
-    assert np.max(np.abs(left - gm.T @ a)) <= 1e-13
-    assert np.max(np.abs(right - a @ gm)) <= 1e-13
-
-
-def test_givens_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_givens(dense(np.eye(3)), GivensRotation(0, 1, 0.5, 4), "right")
-
-
-def test_givens_rejects_unknown_side():
-    with pytest.raises(ValueError):
-        apply_givens(dense(np.eye(3)), GivensRotation(0, 1, 0.5, 3), "left")
 
 
 # ---------------------------------------------------------------- angle rule
@@ -172,42 +138,6 @@ def test_angle_range_and_diagonalization(gii, gij, gjj):
     rotated = r.T @ np.array([[gii, gij], [gij, gjj]]) @ r
     scale = max(abs(gii), abs(gij), abs(gjj), 1.0)
     assert abs(rotated[0, 1]) <= 1e-12 * scale
-
-
-# ---------------------------------------------------------------- row_gram
-
-
-def test_row_gram_identity():
-    full = IndexSet(tuple(range(4)), 4)
-    g = row_gram(dense(np.eye(4)), full, full)
-    assert np.array_equal(g, np.eye(4))
-
-
-def test_row_gram_identical_rows():
-    a = np.zeros((3, 3))
-    a[0] = [1.0, 2.0, 3.0]
-    a[1] = [1.0, 2.0, 3.0]
-    g = row_gram(dense(a), IndexSet((0, 1), 3), IndexSet((0, 1, 2), 3))
-    assert g[0, 0] == g[1, 1] == g[0, 1] == g[1, 0]
-
-
-def test_row_gram_double_loop_oracle():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((6, 6))
-    rows = IndexSet((0, 3, 5), 6)
-    cols = IndexSet((1, 2, 4, 5), 6)
-    g = row_gram(dense(a), rows, cols)
-    for p, rp in enumerate(rows):
-        for q, rq in enumerate(rows):
-            want = sum(a[rp, c] * a[rq, c] for c in cols)
-            assert abs(g[p, q] - want) <= 1e-14
-    assert np.array_equal(g, g.T)
-    assert np.all(np.diag(g) >= 0.0)
-
-
-def test_row_gram_empty_sets_rejected():
-    with pytest.raises(ValueError):
-        row_gram(dense(np.eye(3)), IndexSet((), 3), IndexSet((0,), 3))
 
 
 # ---------------------------------------------------------------- errors & symmetry
@@ -281,7 +211,7 @@ def test_left_rotation_preserves_column_gram(seed, theta):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 5))
     g = GivensRotation(1, 4, theta, 5)
-    rotated = apply_givens(dense(a), g, "left-transpose").to_dense()
+    rotated = g.matrix().T @ a
     before = a.T @ a
     after = rotated.T @ rotated
     assert np.linalg.norm(after - before) <= 1e-12 * max(np.linalg.norm(before), 1.0)
@@ -293,7 +223,7 @@ def test_right_rotation_preserves_row_gram(seed, theta):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 5))
     g = GivensRotation(0, 3, theta, 5)
-    rotated = apply_givens(dense(a), g, "right").to_dense()
+    rotated = a @ g.matrix()
     before = a @ a.T
     after = rotated @ rotated.T
     assert np.linalg.norm(after - before) <= 1e-12 * max(np.linalg.norm(before), 1.0)
