@@ -1,4 +1,4 @@
-"""Core matrix kernel tests: splits, rotations, angle rule, error and symmetry metrics."""
+"""Core matrix kernel tests: splits, rotations, angle rule, index sets, error and symmetry metrics."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mrmf import (
     GivensRotation,
+    IndexSet,
     MatrixFormatError,
     SquareMatrix,
     frobenius_relative_error,
@@ -16,6 +17,7 @@ from mrmf import (
     numerical_symmetry,
     split_symmetric_skew,
 )
+from mrmf.jacobi import conjugate_reconstruct, two_basis_reconstruct
 
 
 def dense(a):
@@ -93,9 +95,117 @@ def test_split_coo_matches_dense_split(n, data):
             assert np.array_equal(x, y)
 
 
+def test_split_coo_symmetric_input_has_empty_skew():
+    # n above 512, where the old code switched storage paths
+    n = 600
+    rows = np.array([0, 5, 7, 599, 599])
+    cols = np.array([5, 0, 7, 3, 599])
+    vals = np.array([2.5, 2.5, -1.0, 4.0, 8.0])
+    A = SquareMatrix.from_coo(n, np.r_[rows, 3], np.r_[cols, 599], np.r_[vals, 4.0])
+    S, K = split_symmetric_skew(A)
+    assert S.is_sparse and K.is_sparse
+    for x, y in zip(S.to_coo(), A.to_coo()):
+        assert np.array_equal(x, y)
+    assert K.nnz == 0
+
+
+def test_split_coo_skew_input_has_empty_symmetric_part():
+    A = SquareMatrix.from_coo(700, [1, 650, 2], [650, 1, 9], [3.0, -3.0, 1.0])
+    S, K = split_symmetric_skew(A)
+    assert S.is_sparse and K.is_sparse
+    r, c, v = K.to_coo()
+    assert r.tolist() == [1, 2, 9, 650]
+    assert c.tolist() == [650, 9, 2, 1]
+    assert v.tolist() == [3.0, 0.5, -0.5, -3.0]
+    r, c, v = S.to_coo()
+    assert (r.tolist(), c.tolist(), v.tolist()) == ([2, 9], [9, 2], [0.5, 0.5])
+
+
+def test_split_coo_without_entries():
+    S, K = split_symmetric_skew(SquareMatrix.from_coo(1000, [], [], []))
+    assert S.is_sparse and K.is_sparse
+    assert S.nnz == K.nnz == 0
+    assert S.n == K.n == 1000
+
+
 def test_from_coo_rejects_duplicate_explicit_zero():
     with pytest.raises(MatrixFormatError, match="duplicate"):
         SquareMatrix.from_coo(2, [0, 0], [0, 0], [0.0, 1.0])
+
+
+# ---------------------------------------------------------------- rotations
+
+
+def test_givens_zero_angle_is_identity():
+    a = np.arange(9.0).reshape(3, 3)
+    g = GivensRotation(0, 2, 0.0, 3)
+    assert np.array_equal(g.matrix(), np.eye(3))
+    assert np.array_equal(two_basis_reconstruct(a, [g], [g]), a)
+    assert np.array_equal(conjugate_reconstruct(a, [g]), a)
+
+
+def test_givens_quarter_turn_on_identity():
+    g = GivensRotation(0, 1, math.pi / 2, 2)
+    assert np.allclose(g.matrix(), [[0.0, -1.0], [1.0, 0.0]], rtol=0.0, atol=1e-15)
+    # undoing a left rotation of the identity leaves the rotation itself
+    assert np.allclose(two_basis_reconstruct(np.eye(2), [g], []), g.matrix(), rtol=0.0, atol=1e-15)
+    assert np.allclose(two_basis_reconstruct(np.eye(2), [], [g]), g.matrix().T, rtol=0.0, atol=1e-15)
+
+
+def test_givens_matches_dense_product():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 4))
+    g = GivensRotation(1, 3, 0.7, 4)
+    gm = g.matrix()
+    left = two_basis_reconstruct(a, [g], [])
+    right = two_basis_reconstruct(a, [], [g])
+    assert np.max(np.abs(left - gm @ a)) <= 1e-13
+    assert np.max(np.abs(right - a @ gm.T)) <= 1e-13
+    # untouched rows/columns are bit-identical
+    assert np.array_equal(left[[0, 2]], a[[0, 2]])
+    assert np.array_equal(right[:, [0, 2]], a[:, [0, 2]])
+
+
+def test_givens_rejects_bad_indices():
+    with pytest.raises(ValueError, match="out of range"):
+        GivensRotation(0, 4, 0.5, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        GivensRotation(-1, 2, 0.5, 4)
+    with pytest.raises(ValueError, match="differ"):
+        GivensRotation(2, 2, 0.5, 4)
+
+
+@given(st.floats(-10.0, 10.0))
+def test_givens_transposed_is_inverse(theta):
+    g = GivensRotation(3, 1, theta, 5)
+    assert np.array_equal(g.transposed().matrix(), g.matrix().T)
+    assert np.max(np.abs(g.transposed().matrix() @ g.matrix() - np.eye(5))) <= 1e-15
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(0, 12), st.integers(0, 12))
+def test_reconstruct_matches_sequential_dense_products(seed, n, n_left, n_right):
+    # rotations that share an index land in different waves; the result must
+    # still be the ordered product G_1 ... G_L h Q_L^T ... Q_1^T
+    rng = np.random.default_rng(seed)
+
+    def draw(count):
+        out = []
+        for _ in range(count):
+            i, j = rng.choice(n, 2, replace=False)
+            out.append(GivensRotation(int(i), int(j), float(rng.uniform(-3.0, 3.0)), n))
+        return out
+
+    h = rng.standard_normal((n, n))
+    left, right = draw(n_left), draw(n_right)
+    p, q = np.eye(n), np.eye(n)
+    for g in left:
+        p = p @ g.matrix()
+    for g in right:
+        q = q @ g.matrix()
+    scale = max(np.linalg.norm(h), 1.0)
+    assert np.linalg.norm(two_basis_reconstruct(h, left, right) - p @ h @ q.T) <= 1e-12 * scale
+    assert np.linalg.norm(conjugate_reconstruct(h, left) - p @ h @ p.T) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------- angle rule
@@ -140,6 +250,27 @@ def test_angle_range_and_diagonalization(gii, gij, gjj):
     assert abs(rotated[0, 1]) <= 1e-12 * scale
 
 
+# ---------------------------------------------------------------- index sets
+
+
+def test_index_set_rejects_repeats_and_out_of_range():
+    with pytest.raises(ValueError, match="distinct"):
+        IndexSet((1, 3, 1), 4)
+    with pytest.raises(ValueError, match="out of range"):
+        IndexSet((0, 4), 4)
+    with pytest.raises(ValueError, match="out of range"):
+        IndexSet((-1,), 4)
+
+
+def test_index_set_order_membership_and_complement():
+    s = IndexSet((4, 0, 2), 6)
+    assert list(s) == [4, 0, 2] and len(s) == 3 and s[0] == 4
+    assert 2 in s and 3 not in s
+    assert s.to_array().dtype == np.int64 and s.to_array().tolist() == [4, 0, 2]
+    assert s.complement() == IndexSet((1, 3, 5), 6)
+    assert len(IndexSet((), 3).complement()) == 3
+
+
 # ---------------------------------------------------------------- errors & symmetry
 
 
@@ -161,6 +292,22 @@ def test_relative_error_three_four_five():
 def test_relative_error_rejects_zero_reference():
     with pytest.raises(ValueError):
         frobenius_relative_error(dense(np.zeros((2, 2))), dense(np.eye(2)))
+
+
+def test_relative_error_coo_equals_dense():
+    rng = np.random.default_rng(9)
+    a = np.where(rng.random((6, 6)) < 0.4, rng.standard_normal((6, 6)), 0.0)
+    a[0, 0] = 1.0
+    b = rng.standard_normal((6, 6))
+    r, c = np.nonzero(a)
+    coo = SquareMatrix.from_coo(6, r, c, a[r, c])
+    assert coo.is_sparse
+    assert frobenius_relative_error(coo, dense(b)) == frobenius_relative_error(dense(a), dense(b))
+
+
+def test_relative_error_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        frobenius_relative_error(dense(np.eye(2)), dense(np.eye(3)))
 
 
 def test_numerical_symmetry_symmetric():
