@@ -14,18 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cores import CoreSparse
+from .direct import Factorization, reconstruct
 from .matrices import IndexSet, SquareMatrix, split_symmetric_skew
-from .skew import SkewFactorization, factor_skew, reconstruct_skew
+from .skew import factor_skew
 from .storage import BudgetError, StorageBudget, minimum_storage, solve_core_size
-from .symmetric import SymFactorization, factor_symmetric, reconstruct_sym
+from .symmetric import factor_symmetric
 
 
 @dataclass(frozen=True)
 class AdditiveFactorization:
     """Independent symmetric and skew factorizations of the two halves."""
 
-    sym: SymFactorization
-    skew: SkewFactorization
+    sym: Factorization
+    skew: Factorization
     n: int
 
     def __post_init__(self):
@@ -37,14 +38,11 @@ class AdditiveFactorization:
         return self.sym.storage_scalars + self.skew.storage_scalars
 
 
-def _trivial_sym(n):
+def _empty(n):
+    """The factorization of a zero half: no rotations, no core, nothing stored."""
     empty = IndexSet((), n)
-    return SymFactorization(n, (), empty, CoreSparse(n, empty, empty, np.zeros((0, 0)), ()), ())
-
-
-def _trivial_skew(n):
-    empty = IndexSet((), n)
-    return SkewFactorization(n, (), empty, CoreSparse(n, empty, empty, np.zeros((0, 0)), ()), ())
+    h = CoreSparse(n, empty, empty, np.zeros((0, 0)), ())
+    return Factorization(n, (), (), h, (), (), conjugate=True)
 
 
 def _sq_mass(M):
@@ -67,17 +65,13 @@ def factor_additive(A, budget, seed):
     sym_seed, skew_seed = np.random.SeedSequence(seed).spawn(2)
 
     if mass_s == 0.0 and mass_k == 0.0:
-        return AdditiveFactorization(_trivial_sym(n), _trivial_skew(n), n)
+        return AdditiveFactorization(_empty(n), _empty(n), n)
     if mass_k == 0.0:
         d = solve_core_size(S, "symmetric", total)
-        return AdditiveFactorization(
-            factor_symmetric(S, d, sym_seed), _trivial_skew(n), n
-        )
+        return AdditiveFactorization(factor_symmetric(S, d, sym_seed), _empty(n), n)
     if mass_s == 0.0:
         d = solve_core_size(K, "skew", total)
-        return AdditiveFactorization(
-            _trivial_sym(n), factor_skew(K, d, skew_seed), n
-        )
+        return AdditiveFactorization(_empty(n), factor_skew(K, d, skew_seed), n)
 
     min_s = minimum_storage(n, "symmetric")
     min_k = minimum_storage(n, "skew")
@@ -98,5 +92,5 @@ def factor_additive(A, budget, seed):
 def reconstruct_additive(F):
     """Sum of the two half reconstructions."""
     return SquareMatrix.from_dense(
-        reconstruct_sym(F.sym).to_dense() + reconstruct_skew(F.skew).to_dense()
+        reconstruct(F.sym).to_dense() + reconstruct(F.skew).to_dense()
     )

@@ -26,10 +26,10 @@ from .additive import factor_additive, reconstruct_additive
 from .cores import Sparsifier
 from .cur import cur_decompose, cur_relative_error, cur_storage, hybrid_compress
 from .data import DecaySpec, MatrixMetadata, fetch_suitesparse, gen_decay_matrix
-from .direct import factor_direct, reconstruct_direct
+from .direct import factor_direct, reconstruct
 from .matrices import frobenius_relative_error
 from .storage import SPARSE_COO, StorageBudget, solve_core_size
-from .symmetric import factor_symmetric, reconstruct_sym
+from .symmetric import factor_symmetric
 
 BENCH_METHODS = (
     "additive",
@@ -191,13 +191,13 @@ def compression_error(A, method, scalars, seed):
         F = factor_additive(A, scalars, seed)
         _check_budget(F.storage_scalars, scalars, method)
         err = frobenius_relative_error(A, reconstruct_additive(F))
-        return err, F.storage_scalars, len(F.sym.core_set)
+        return err, F.storage_scalars, len(F.sym.core_rows)
     if method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
         d = solve_core_size(A, method, scalars)
         kind = method.partition("-")[2]
         F = factor_direct(A, d, Sparsifier(kind), seed)
         _check_budget(F.storage_scalars, scalars, method)
-        err = frobenius_relative_error(A, reconstruct_direct(F))
+        err = frobenius_relative_error(A, reconstruct(F))
         return err, F.storage_scalars, d
     raise ValueError(f"unknown method {method!r}")
 
@@ -430,7 +430,7 @@ def run_decay_sweep(n, t_list, seed, output=None, core_size=DECAY_CORE_SIZE):
     for t in t_list:
         A = gen_decay_matrix(DecaySpec(n, float(t), seed))
         F = factor_symmetric(A, core_size, derive_seed(seed, "decay", repr(float(t))))
-        err = frobenius_relative_error(A, reconstruct_sym(F))
+        err = frobenius_relative_error(A, reconstruct(F))
         rows.append((float(t), err))
     if output is not None:
         path = Path(output)

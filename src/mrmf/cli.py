@@ -27,7 +27,7 @@ from .bench import (
     run_sweep,
     write_sweep_outputs,
 )
-from .data import fetch_suitesparse, parse_matrix_market
+from .data import fetch_suitesparse, gen_mixed_matrix, parse_matrix_market
 from .storage import DENSE, SPARSE_COO, StorageBudget
 
 _DEFAULT_CACHE = os.environ.get("MRMF_CACHE_DIR", "cache")
@@ -88,13 +88,19 @@ def _cmd_decay(args):
 
 
 def _cmd_rankscan(args):
-    A, meta = _load_matrix(args.matrix, args.cache_dir)
+    A = _load_matrix(args.matrix, args.cache_dir)[0] if args.matrix else gen_mixed_matrix()
     rows = run_rank_sweep(
         A, args.r_list, fraction=args.fraction, seed=args.seed,
         output=args.out, accounting=args.accounting,
     )
     for series, param, err in rows:
         print(f"{series:<8} param={param:<6} error={err:.6f}")
+    hybrid = {p: e for s, p, e in rows if s == "hybrid"}
+    if hybrid:
+        best_r = min(hybrid, key=hybrid.get)
+        gain = min(e for s, _, e in rows if s != "hybrid") - hybrid[best_r]
+        print(f"best hybrid r={best_r}: error {hybrid[best_r]:.6f} "
+              f"({'beats' if gain > 0 else 'trails'} both baselines by {abs(gain):.6f})")
     print(f"wrote {args.out}")
     return 0
 
@@ -154,7 +160,8 @@ def build_parser():
     p.set_defaults(func=_cmd_decay)
 
     p = sub.add_parser("rankscan", help="hybrid error per CUR rank plus baselines")
-    p.add_argument("--matrix", required=True, help="group/name or local .mtx path")
+    p.add_argument("--matrix", help="group/name or local .mtx path "
+                   "(default: the built-in mixed-spectrum matrix, gen_mixed_matrix())")
     p.add_argument("--r-list", type=_int_list, required=True)
     p.add_argument("--fraction", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)

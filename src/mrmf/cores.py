@@ -58,13 +58,6 @@ class CoreSparse:
             self, "offcore", tuple((int(r), int(c), float(v)) for r, c, v in self.offcore)
         )
 
-    @property
-    def core_set(self):
-        """The single core index set (valid when row_set == col_set)."""
-        if self.row_set.indices != self.col_set.indices:
-            raise ValueError("core has distinct row and column sets")
-        return self.row_set
-
     def to_dense(self):
         h = np.zeros((self.n, self.n))
         if len(self.row_set) and len(self.col_set):

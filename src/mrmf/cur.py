@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cores import GREEDY_TOP_N, Sparsifier
-from .direct import DirectFactorization, factor_direct, reconstruct_direct
+from .direct import Factorization, factor_direct, reconstruct
 from .matrices import IndexSet, SquareMatrix
 from .storage import StorageBudget, solve_core_size
 
@@ -137,7 +137,7 @@ class HybridResult:
 
     r: int
     k: int
-    factor: DirectFactorization
+    factor: Factorization
     error: float
 
     def __post_init__(self):
@@ -164,5 +164,5 @@ def hybrid_compress(A, r, k, seed):
     d = solve_core_size(M, "direct-greedytopn", scalars)
     factor = factor_direct(M, d, Sparsifier(GREEDY_TOP_N), mmf_seed)
     a = A.to_dense()
-    err = float(np.linalg.norm(a - reconstruct_direct(factor).to_dense()) / np.linalg.norm(a))
+    err = float(np.linalg.norm(a - reconstruct(factor).to_dense()) / np.linalg.norm(a))
     return HybridResult(int(r), scalars, factor, err)

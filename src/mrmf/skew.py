@@ -1,40 +1,21 @@
 """Multiresolution factorization of skew-symmetric matrices.
 
-Rotation selection matches the symmetric route (the row Gram of a skew K is
-K^T K), but the terminal core is different: a skew matrix has no useful
-diagonal, so the non-core indices are paired into disjoint antisymmetric
-2x2 blocks [[0, v], [-v, 0]] by greedy magnitude matching.
+The conjugate form of direct.Factorization, with the rotation selection of
+the symmetric route (the row Gram of a skew K is K^T K) but a different
+terminal core: a skew matrix has no useful diagonal, so the non-core
+indices are paired into disjoint antisymmetric 2x2 blocks [[0, v], [-v, 0]]
+by greedy magnitude matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .cores import CoreSparse, keep_all, murnaghan_sparsify
-from .jacobi import conjugate_reconstruct, conjugation_sweep, unpermute
-from .matrices import IndexSet, SquareMatrix, check_skew
+from .cores import keep_all, murnaghan_sparsify
+from .direct import sweep_and_truncate
+from .matrices import check_skew
 
 
-@dataclass(frozen=True)
-class SkewFactorization:
-    """Rotations, core set (may be empty), paired off-core structure H.
-
-    With the default truncation every off-core entry (p, q, v) is stored with
-    its exact mirror (q, p, -v) and no index appears in two pairs; the
-    truncate=False mode keeps the rotated matrix verbatim instead.
-    """
-
-    n: int
-    rotations: tuple
-    core_set: IndexSet
-    H: CoreSparse
-    retired: tuple
-
-    @property
-    def storage_scalars(self):
-        return 3 * len(self.rotations) + self.H.storage_scalars(len(self.core_set))
+def _pairs(h, rows, cols):
+    return murnaghan_sparsify(h, rows)
 
 
 def factor_skew(K, core_size, seed, truncate=True, level_callback=None):
@@ -42,23 +23,14 @@ def factor_skew(K, core_size, seed, truncate=True, level_callback=None):
 
     The level loop needs two active indices to rotate, so it stops at one
     active index when core_size = 0 and that leftover joins the pairing pool.
+    With the default truncation every off-core entry (p, q, v) of H is
+    stored with its exact mirror (q, p, -v) and no index appears in two
+    pairs; truncate=False keeps the rotated matrix verbatim instead.
     """
-    n = K.n
-    if not 0 <= core_size <= n:
-        raise ValueError(f"core_size must be in [0, {n}]")
-    a = np.array(K.to_dense(), dtype=np.float64)
-    check_skew(a)
-    rng = np.random.default_rng(seed)
-    rotations, perm, retired = conjugation_sweep(a, core_size, rng, level_callback)
-    hbar = unpermute(a, perm, perm)
-    core = IndexSet(tuple(sorted(int(i) for i in perm[:core_size])), n)
-    if truncate:
-        h = murnaghan_sparsify(hbar, core)
-    else:
-        h = keep_all(hbar, core, core)
-    return SkewFactorization(n, tuple(rotations), core, h, tuple(retired))
-
-
-def reconstruct_skew(F):
-    """Dense reconstruction; skew-symmetric to rotation round-off."""
-    return SquareMatrix.from_dense(conjugate_reconstruct(F.H.to_dense(), F.rotations))
+    if not 0 <= core_size <= K.n:
+        raise ValueError(f"core_size must be in [0, {K.n}]")
+    check_skew(K.to_dense())
+    rule = _pairs if truncate else keep_all
+    return sweep_and_truncate(
+        K, core_size, seed, conjugate=True, truncate=rule, level_callback=level_callback
+    )

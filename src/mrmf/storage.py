@@ -15,17 +15,6 @@ from dataclasses import dataclass
 SPARSE_COO = "sparse-coo"
 DENSE = "dense"
 
-METHODS = (
-    "symmetric",
-    "skew",
-    "additive",
-    "direct-corediag",
-    "direct-topn",
-    "direct-greedytopn",
-    "cur",
-    "hybrid",
-)
-
 
 class BudgetError(ValueError):
     """Budget too small to store any factorization of the requested kind."""
@@ -49,11 +38,6 @@ class StorageBudget:
 
     def scalars(self, A):
         return int(math.ceil(self.fraction * self.base(A)))
-
-
-def method_storage(factorization):
-    """Scalar count of any factorization object (delegates to the type)."""
-    return factorization.storage_scalars
 
 
 def predicted_storage(n, method, d):

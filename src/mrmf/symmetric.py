@@ -1,40 +1,22 @@
 """Multiresolution factorization of symmetric matrices.
 
-A ~ G_1 ... G_L H G_L^T ... G_1^T with L = n - d sparse rotations and H in
-core-diagonal form: dense on the d surviving indices, diagonal elsewhere.
-Each level pairs a random active index with its most similar partner under
-the active-row Gram, rotates to diagonalize the 2x2 Gram block, and retires
-the index whose off-diagonal residual is smaller.
+A ~ G_1 ... G_L H G_L^T ... G_1^T with L = n - d sparse rotations: the
+conjugate form of direct.Factorization, with H in core-diagonal form (dense
+on the d surviving indices, diagonal elsewhere). Each level pairs a random
+active index with its most similar partner under the active-row Gram,
+rotates to diagonalize the 2x2 Gram block, and retires the index whose
+off-diagonal residual is smaller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .cores import CORE_DIAGONAL, CoreSparse, Sparsifier, keep_all, sparsify
-from .jacobi import conjugate_reconstruct, conjugation_sweep, unpermute
-from .matrices import GivensRotation, IndexSet, SquareMatrix, check_symmetric
+from .cores import CORE_DIAGONAL, Sparsifier, keep_all, sparsify
+from .direct import sweep_and_truncate
+from .matrices import check_symmetric
 
 
-@dataclass(frozen=True)
-class SymFactorization:
-    """Rotations (application order), surviving core set, truncated core H.
-
-    retired holds the index removed at each level, so the active sets are
-    recoverable for any level prefix.
-    """
-
-    n: int
-    rotations: tuple
-    core_set: IndexSet
-    H: CoreSparse
-    retired: tuple
-
-    @property
-    def storage_scalars(self):
-        return 3 * len(self.rotations) + self.H.storage_scalars(len(self.core_set))
+def _corediag(h, rows, cols):
+    return sparsify(h, rows, cols, Sparsifier(CORE_DIAGONAL))
 
 
 def factor_symmetric(A, core_size, seed, truncate=True, level_callback=None):
@@ -44,22 +26,10 @@ def factor_symmetric(A, core_size, seed, truncate=True, level_callback=None):
     round-trip checks). level_callback, when given, sees the working matrix
     after every rotation (rows/columns compacted, i.e. permuted).
     """
-    n = A.n
-    if not 1 <= core_size <= n:
-        raise ValueError(f"core_size must be in [1, {n}]")
-    a = np.array(A.to_dense(), dtype=np.float64)
-    check_symmetric(a)
-    rng = np.random.default_rng(seed)
-    rotations, perm, retired = conjugation_sweep(a, core_size, rng, level_callback)
-    hbar = unpermute(a, perm, perm)
-    core = IndexSet(tuple(sorted(int(i) for i in perm[:core_size])), n)
-    if truncate:
-        h = sparsify(hbar, core, core, Sparsifier(CORE_DIAGONAL))
-    else:
-        h = keep_all(hbar, core, core)
-    return SymFactorization(n, tuple(rotations), core, h, tuple(retired))
-
-
-def reconstruct_sym(F):
-    """Dense reconstruction of the matrix implied by a SymFactorization."""
-    return SquareMatrix.from_dense(conjugate_reconstruct(F.H.to_dense(), F.rotations))
+    if not 1 <= core_size <= A.n:
+        raise ValueError(f"core_size must be in [1, {A.n}]")
+    check_symmetric(A.to_dense())
+    rule = _corediag if truncate else keep_all
+    return sweep_and_truncate(
+        A, core_size, seed, conjugate=True, truncate=rule, level_callback=level_callback
+    )

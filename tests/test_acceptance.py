@@ -47,9 +47,7 @@ from mrmf.bench import (
     run_rank_sweep,
 )
 from mrmf.data import FetchError
-from mrmf.direct import reconstruct_direct
-from mrmf.skew import reconstruct_skew
-from mrmf.symmetric import reconstruct_sym
+from mrmf.direct import reconstruct
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -85,16 +83,16 @@ def _roundtrip_runs():
             start = time.perf_counter()
             if kind == "direct":
                 F = factor_direct(A, 4, Sparsifier("topn"), seed=seed, truncate=False)
-                recon = reconstruct_direct(F)
+                recon = reconstruct(F)
                 rotseqs = [F.left, F.right]
             elif kind == "symmetric":
                 F = factor_symmetric(A, 4, seed=seed, truncate=False)
-                recon = reconstruct_sym(F)
-                rotseqs = [F.rotations]
+                recon = reconstruct(F)
+                rotseqs = [F.left]
             else:
                 F = factor_skew(A, 4, seed=seed, truncate=False)
-                recon = reconstruct_skew(F)
-                rotseqs = [F.rotations]
+                recon = reconstruct(F)
+                rotseqs = [F.left]
             elapsed = time.perf_counter() - start
             err = frobenius_relative_error(A, recon)
             runs.append({
@@ -122,8 +120,8 @@ def _dropped_mass_runs():
     gap, seqs = pair_identity(
         A,
         lambda truncate: factor_symmetric(A, 6, seed=4, truncate=truncate),
-        reconstruct_sym,
-        lambda F: [F.rotations],
+        reconstruct,
+        lambda F: [F.left],
     )
     runs.append({"label": "symmetric", "n": 48, "gap": gap, "rotseqs": seqs})
 
@@ -131,8 +129,8 @@ def _dropped_mass_runs():
     gap, seqs = pair_identity(
         K,
         lambda truncate: factor_skew(K, 4, seed=4, truncate=truncate),
-        reconstruct_skew,
-        lambda F: [F.rotations],
+        reconstruct,
+        lambda F: [F.left],
     )
     runs.append({"label": "skew", "n": 48, "gap": gap, "rotseqs": seqs})
 
@@ -143,7 +141,7 @@ def _dropped_mass_runs():
             lambda truncate: factor_direct(
                 G, 6, Sparsifier(kind), seed=4, truncate=truncate
             ),
-            reconstruct_direct,
+            reconstruct,
             lambda F: [F.left, F.right],
         )
         runs.append({"label": f"direct-{kind}", "n": 48, "gap": gap, "rotseqs": seqs})
@@ -153,12 +151,12 @@ def _dropped_mass_runs():
     base2 = np.linalg.norm(M) ** 2
     err2 = frobenius_relative_error(G, reconstruct_additive(F)) ** 2 * base2
     dropped2 = (
-        np.linalg.norm((M + M.T) / 2 - reconstruct_sym(F.sym).to_dense()) ** 2
-        + np.linalg.norm((M - M.T) / 2 - reconstruct_skew(F.skew).to_dense()) ** 2
+        np.linalg.norm((M + M.T) / 2 - reconstruct(F.sym).to_dense()) ** 2
+        + np.linalg.norm((M - M.T) / 2 - reconstruct(F.skew).to_dense()) ** 2
     )
     runs.append({
         "label": "additive", "n": 48, "gap": abs(err2 - dropped2) / base2,
-        "rotseqs": [F.sym.rotations, F.skew.rotations],
+        "rotseqs": [F.sym.left, F.skew.left],
     })
     return tuple(runs)
 
@@ -231,9 +229,9 @@ def test_05_sparsifier_ordering():
         Fgr = factor_direct(A, 8, Sparsifier("greedytopn", m=m), seed=seed)
         assert Fcd.left == Ftn.left == Fgr.left  # shared rotation sequences
         assert Fcd.right == Ftn.right == Fgr.right
-        e_cd = frobenius_relative_error(A, reconstruct_direct(Fcd))
-        e_tn = frobenius_relative_error(A, reconstruct_direct(Ftn))
-        e_gr = frobenius_relative_error(A, reconstruct_direct(Fgr))
+        e_cd = frobenius_relative_error(A, reconstruct(Fcd))
+        e_tn = frobenius_relative_error(A, reconstruct(Ftn))
+        e_gr = frobenius_relative_error(A, reconstruct(Fgr))
         violations += (e_tn > e_cd + 1e-12) + (e_tn > e_gr + 1e-12)
         strict += e_cd > e_tn + 1e-9
     ok = violations == 0

@@ -9,9 +9,8 @@ from mrmf import (
     StorageBudget,
     factor_additive,
     frobenius_relative_error,
+    reconstruct,
     reconstruct_additive,
-    reconstruct_skew,
-    reconstruct_sym,
     split_symmetric_skew,
 )
 
@@ -32,10 +31,10 @@ def test_symmetric_input_gets_entire_budget():
     A = dense(a + a.T)
     F = factor_additive(A, 80, seed=0)
     assert F.skew.storage_scalars == 0
-    assert len(F.skew.rotations) == 0
+    assert len(F.skew.left) == 0
     # the reported error is exactly the symmetric half's error
     err_add = frobenius_relative_error(A, reconstruct_additive(F))
-    err_sym = frobenius_relative_error(A, reconstruct_sym(F.sym))
+    err_sym = frobenius_relative_error(A, reconstruct(F.sym))
     assert err_add == err_sym
 
 
@@ -45,7 +44,7 @@ def test_skew_input_mirror_case():
     F = factor_additive(A, 80, seed=0)
     assert F.sym.storage_scalars == 0
     err_add = frobenius_relative_error(A, reconstruct_additive(F))
-    err_skew = frobenius_relative_error(A, reconstruct_skew(F.skew))
+    err_skew = frobenius_relative_error(A, reconstruct(F.skew))
     assert err_add == err_skew
 
 
@@ -94,8 +93,8 @@ def test_triangle_inequality_on_halves():
     F = factor_additive(A, 100, seed=2)  # lossy for both halves at n = 8
     a = A.to_dense()
     err_total = np.linalg.norm(a - reconstruct_additive(F).to_dense())
-    err_s = np.linalg.norm(S.to_dense() - reconstruct_sym(F.sym).to_dense())
-    err_k = np.linalg.norm(K.to_dense() - reconstruct_skew(F.skew).to_dense())
+    err_s = np.linalg.norm(S.to_dense() - reconstruct(F.sym).to_dense())
+    err_k = np.linalg.norm(K.to_dense() - reconstruct(F.skew).to_dense())
     assert err_total <= err_s + err_k + 1e-12
 
 
@@ -105,8 +104,8 @@ def test_pythagorean_error_split():
     F = factor_additive(A, 140, seed=6)
     a = A.to_dense()
     total_sq = np.linalg.norm(a - reconstruct_additive(F).to_dense()) ** 2
-    s_sq = np.linalg.norm(S.to_dense() - reconstruct_sym(F.sym).to_dense()) ** 2
-    k_sq = np.linalg.norm(K.to_dense() - reconstruct_skew(F.skew).to_dense()) ** 2
+    s_sq = np.linalg.norm(S.to_dense() - reconstruct(F.sym).to_dense()) ** 2
+    k_sq = np.linalg.norm(K.to_dense() - reconstruct(F.skew).to_dense()) ** 2
     assert abs(total_sq - (s_sq + k_sq)) <= 1e-9 * max(total_sq, 1e-30)
 
 
@@ -117,8 +116,8 @@ def test_reconstruction_parts_match_halves():
     scale = max(np.max(np.abs(R)), 1.0)
     skew_part = (R - R.T) * 0.5
     sym_part = (R + R.T) * 0.5
-    assert np.max(np.abs(skew_part - reconstruct_skew(F.skew).to_dense())) <= 1e-11 * scale
-    assert np.max(np.abs(sym_part - reconstruct_sym(F.sym).to_dense())) <= 1e-11 * scale
+    assert np.max(np.abs(skew_part - reconstruct(F.skew).to_dense())) <= 1e-11 * scale
+    assert np.max(np.abs(sym_part - reconstruct(F.sym).to_dense())) <= 1e-11 * scale
 
 
 def test_untruncated_budget_reconstructs_exactly():

@@ -20,7 +20,6 @@ from mrmf import (
     factor_symmetric,
     frobenius_relative_error,
     hybrid_compress,
-    method_storage,
     predicted_storage,
     solve_core_size,
     write_matrix_market,
@@ -43,7 +42,7 @@ from mrmf.bench import (
     write_sweep_outputs,
 )
 from mrmf.data import MatrixMetadata, MatrixNotFoundError
-from mrmf.direct import reconstruct_direct
+from mrmf.direct import reconstruct
 from mrmf.storage import minimum_storage
 
 
@@ -91,7 +90,7 @@ def test_full_core_storage_golden():
     S = np.random.default_rng(1).standard_normal((10, 10))
     A = SquareMatrix.from_dense(S + S.T)
     F = factor_symmetric(A, 10, seed=0)
-    assert method_storage(F) == 110
+    assert F.storage_scalars == 110
     assert predicted_storage(10, "symmetric", 10) == 110
 
 
@@ -99,17 +98,17 @@ def test_predicted_storage_matches_actual_runs():
     # on generic dense input every method hits its worst-case count exactly
     S = np.random.default_rng(11).standard_normal((14, 14))
     F = factor_symmetric(SquareMatrix.from_dense(S + S.T), 4, seed=2)
-    assert method_storage(F) == predicted_storage(14, "symmetric", 4) == 80
+    assert F.storage_scalars == predicted_storage(14, "symmetric", 4) == 80
 
     G = _random_square(12, 11)
     for kind, method in [("topn", "direct-topn"), ("greedytopn", "direct-greedytopn")]:
         F = factor_direct(G, 3, Sparsifier(kind), seed=5)
-        assert method_storage(F) == predicted_storage(12, method, 3)
+        assert F.storage_scalars == predicted_storage(12, method, 3)
 
     # corediag's bound assumes minimal core overlap; runs may come in under
     F = factor_direct(G, 3, Sparsifier("corediag"), seed=5)
-    assert method_storage(F) == 102
-    assert method_storage(F) <= predicted_storage(12, "direct-corediag", 3) == 105
+    assert F.storage_scalars == 102
+    assert F.storage_scalars <= predicted_storage(12, "direct-corediag", 3) == 105
 
     f = cur_decompose(G, 4, seed=9)
     assert cur_storage(f) == predicted_storage(12, "cur", 4) == 120
@@ -120,10 +119,10 @@ def test_predicted_storage_bounds_actual_everywhere():
     S = SquareMatrix.from_dense(G.to_dense() + G.to_dense().T)
     for d in (1, 3, 5, 8):
         F = factor_symmetric(S, d, seed=d)
-        assert method_storage(F) <= predicted_storage(10, "symmetric", d)
+        assert F.storage_scalars <= predicted_storage(10, "symmetric", d)
         for kind in ("topn", "greedytopn", "corediag"):
             F = factor_direct(G, d, Sparsifier(kind), seed=d)
-            assert method_storage(F) <= predicted_storage(10, f"direct-{kind}", d)
+            assert F.storage_scalars <= predicted_storage(10, f"direct-{kind}", d)
 
 
 def test_solve_full_budget_is_lossless_core():
@@ -576,5 +575,5 @@ def test_hybrid_at_full_rank_matches_direct_run():
     mmf_seed = np.random.SeedSequence(123).spawn(2)[1]
     d = solve_core_size(A, "direct-greedytopn", scalars)
     F = factor_direct(A, d, Sparsifier("greedytopn"), mmf_seed)
-    err = frobenius_relative_error(A, reconstruct_direct(F))
+    err = frobenius_relative_error(A, reconstruct(F))
     assert abs(h.error - err) <= 1e-9

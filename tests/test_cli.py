@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import mrmf
-from mrmf import SquareMatrix, parse_matrix_market, write_matrix_market
-from mrmf.bench import RUN_CSV_HEADER, compression_error, derive_seed
+from mrmf import SquareMatrix, gen_mixed_matrix, parse_matrix_market, write_matrix_market
+from mrmf.bench import RUN_CSV_HEADER, compression_error, derive_seed, run_rank_sweep
 from mrmf.cli import main
 from mrmf.storage import StorageBudget
 
@@ -164,9 +164,27 @@ def test_rankscan_subcommand(cli_env, capsys, tmp_path):
     assert stdout[1].startswith("hybrid")
     assert stdout[2].startswith("cur")
     assert stdout[3].startswith("mmf")
+    assert stdout[4].startswith("best hybrid r=")
     lines = out.read_text().splitlines()
     assert lines[0] == "series,param,error"
     assert len(lines) == 2 + 2 + 1  # header + one row per r + two baselines
+
+
+def test_rankscan_defaults_to_mixed_matrix_and_prints_verdict(capsys, tmp_path):
+    out = tmp_path / "rank.csv"
+    rc = main(["rankscan", "--r-list", "6,9", "--seed", "1", "--out", str(out)])
+    stdout = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    want = run_rank_sweep(gen_mixed_matrix(), [6, 9], fraction=0.05, seed=1)
+    assert [(s, int(p), float(e)) for s, p, e in rows] == want
+    hybrid = {p: e for s, p, e in want if s == "hybrid"}
+    best_r = min(hybrid, key=hybrid.get)
+    gain = min(e for s, _, e in want if s != "hybrid") - hybrid[best_r]
+    verb = "beats" if gain > 0 else "trails"
+    assert stdout[4] == (f"best hybrid r={best_r}: error {hybrid[best_r]:.6f} "
+                         f"({verb} both baselines by {abs(gain):.6f})")
+    assert stdout[5] == f"wrote {out}"
 
 
 def test_sweep_subcommand(cli_env, capsys, tmp_path):

@@ -14,7 +14,7 @@ from mrmf import (
     SquareMatrix,
     factor_direct,
     frobenius_relative_error,
-    reconstruct_direct,
+    reconstruct,
     sparsify,
 )
 
@@ -28,7 +28,7 @@ def random_general(n, seed):
 
 
 def rel_err(A, F):
-    return frobenius_relative_error(A, reconstruct_direct(F))
+    return frobenius_relative_error(A, reconstruct(F))
 
 
 ALL_KINDS = (CORE_DIAGONAL, TOP_N, GREEDY_TOP_N)
@@ -217,7 +217,7 @@ def test_symmetric_input_mirrored_phases_reduction():
     a = np.random.default_rng(31).standard_normal((7, 7))
     A = dense((a + a.T) * 0.5)
     F = factor_direct(A, 3, Sparsifier(TOP_N), seed=3, truncate=False)
-    R = reconstruct_direct(F).to_dense()
+    R = reconstruct(F).to_dense()
     assert np.max(np.abs(R - A.to_dense())) <= 1e-10
 
 

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from mrmf import direct, jacobi, skew, symmetric
+from mrmf import direct, jacobi
 from mrmf.additive import factor_additive, reconstruct_additive
 from mrmf.cores import Sparsifier, murnaghan_sparsify, sparsify
-from mrmf.direct import factor_direct, reconstruct_direct
+from mrmf.direct import factor_direct, reconstruct
 from mrmf.matrices import IndexSet, SquareMatrix
-from mrmf.skew import factor_skew, reconstruct_skew
-from mrmf.symmetric import factor_symmetric, reconstruct_sym
+from mrmf.skew import factor_skew
+from mrmf.symmetric import factor_symmetric
 
 SPARSIFIERS = ("corediag", "topn", "greedytopn")
 
@@ -53,14 +53,9 @@ def _halves(name):
 
 
 def _use_reference(monkeypatch):
-    """Route the factorizers through the reference sweeps and reconstructions."""
-    for module, names in (
-        (direct, ("two_basis_sweep", "two_basis_reconstruct")),
-        (symmetric, ("conjugation_sweep", "conjugate_reconstruct")),
-        (skew, ("conjugation_sweep", "conjugate_reconstruct")),
-    ):
-        for name in names:
-            monkeypatch.setattr(module, name, getattr(ref, name))
+    """Route the factorizers through the reference sweeps and reconstruction."""
+    for name in ("two_basis_sweep", "conjugation_sweep", "two_basis_reconstruct"):
+        monkeypatch.setattr(direct, name, getattr(ref, name))
 
 
 def _same_core(F, R):
@@ -122,10 +117,10 @@ def test_factor_direct_matches_reference(name, kind, monkeypatch):
     A = SquareMatrix.from_dense(INPUTS[name]())
     d = max(A.n // 8, 1)
     F = factor_direct(A, d, Sparsifier(kind), seed=3)
-    got = reconstruct_direct(F).to_dense()
+    got = reconstruct(F).to_dense()
     _use_reference(monkeypatch)
     R = factor_direct(A, d, Sparsifier(kind), seed=3)
-    want = reconstruct_direct(R).to_dense()
+    want = reconstruct(R).to_dense()
     assert F.left == R.left and F.right == R.right
     assert F.row_retired == R.row_retired and F.col_retired == R.col_retired
     assert F.core_rows == R.core_rows and F.core_cols == R.core_cols
@@ -139,15 +134,15 @@ def test_factor_symmetric_and_skew_match_reference(name, monkeypatch):
     S, K = SquareMatrix.from_dense(s), SquareMatrix.from_dense(k)
     d = max(S.n // 8, 1)
     Fs, Fk = factor_symmetric(S, d, seed=4), factor_skew(K, d, seed=5)
-    got_s, got_k = reconstruct_sym(Fs).to_dense(), reconstruct_skew(Fk).to_dense()
+    got_s, got_k = reconstruct(Fs).to_dense(), reconstruct(Fk).to_dense()
     _use_reference(monkeypatch)
     Rs, Rk = factor_symmetric(S, d, seed=4), factor_skew(K, d, seed=5)
     for F, R in ((Fs, Rs), (Fk, Rk)):
-        assert F.rotations == R.rotations and F.retired == R.retired
-        assert F.core_set == R.core_set
+        assert F.left == R.left and F.row_retired == R.row_retired
+        assert F.core_rows == R.core_rows
         _same_core(F, R)
-    _close(got_s, reconstruct_sym(Rs).to_dense())
-    _close(got_k, reconstruct_skew(Rk).to_dense())
+    _close(got_s, reconstruct(Rs).to_dense())
+    _close(got_k, reconstruct(Rk).to_dense())
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -159,7 +154,7 @@ def test_factor_additive_matches_reference(name, monkeypatch):
     _use_reference(monkeypatch)
     R = factor_additive(A, budget, seed=6)
     for f, r in ((F.sym, R.sym), (F.skew, R.skew)):
-        assert f.rotations == r.rotations and f.retired == r.retired
+        assert f.left == r.left and f.row_retired == r.row_retired
         _same_core(f, r)
     _close(got, reconstruct_additive(R).to_dense())
 

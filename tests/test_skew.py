@@ -11,7 +11,7 @@ from mrmf import (
     factor_skew,
     frobenius_relative_error,
     murnaghan_sparsify,
-    reconstruct_skew,
+    reconstruct,
 )
 
 
@@ -29,7 +29,7 @@ def pair_block(lam):
 
 
 def rel_err(K, F):
-    return frobenius_relative_error(K, reconstruct_skew(F))
+    return frobenius_relative_error(K, reconstruct(F))
 
 
 # ---------------------------------------------------------------- basics
@@ -39,7 +39,7 @@ def test_single_pair_exact():
     K = dense(pair_block(3.5))
     F = factor_skew(K, 0, seed=0)
     assert rel_err(K, F) <= 1e-12
-    assert len(F.core_set) == 0
+    assert len(F.core_rows) == 0
 
 
 def test_two_pair_block_diagonal_exact():
@@ -69,7 +69,7 @@ def test_rejects_negative_core():
 
 def test_reconstruction_is_skew():
     K = random_skew(9, seed=7)
-    M = reconstruct_skew(factor_skew(K, 3, seed=1)).to_dense()
+    M = reconstruct(factor_skew(K, 3, seed=1)).to_dense()
     assert np.max(np.abs(M + M.T)) <= 1e-11 * max(np.max(np.abs(M)), 1.0)
 
 
@@ -104,7 +104,7 @@ def test_pairing_disjoint_and_mirrored():
     # as row of its entry, once as column of the mirror)
     counts = {i: used.count(i) for i in set(used)}
     assert all(c == 2 for c in counts.values())
-    assert all(i not in F.core_set for i in counts)
+    assert all(i not in F.core_rows for i in counts)
 
 
 def test_pairing_odd_leftover_dropped():
@@ -176,7 +176,7 @@ def test_truncated_output_exactly_skew_offcore(seed):
     K = random_skew(8, seed=seed % 991)
     F = factor_skew(K, 2, seed)
     h = F.H.to_dense()
-    core = sorted(F.core_set)
+    core = sorted(F.core_rows)
     mask = np.ones((8, 8), dtype=bool)
     mask[np.ix_(core, core)] = False
     assert np.array_equal(h[mask & mask.T], -h.T[mask & mask.T])

@@ -1,5 +1,6 @@
 """Symmetric factorization: greedy conjugation, truncation, budget behavior."""
 
+import dataclasses
 import itertools
 import math
 
@@ -12,7 +13,7 @@ from mrmf import (
     SquareMatrix,
     factor_symmetric,
     frobenius_relative_error,
-    reconstruct_sym,
+    reconstruct,
 )
 
 
@@ -26,7 +27,7 @@ def random_symmetric(n, seed, scale=1.0):
 
 
 def rel_err(A, F):
-    return frobenius_relative_error(A, reconstruct_sym(F))
+    return frobenius_relative_error(A, reconstruct(F))
 
 
 # ---------------------------------------------------------------- basics
@@ -42,7 +43,7 @@ def test_diagonal_input_exact_any_core():
 def test_full_core_is_lossless_with_full_storage():
     A = random_symmetric(10, seed=6)
     F = factor_symmetric(A, 10, seed=0)
-    assert len(F.rotations) == 0
+    assert len(F.left) == 0
     assert np.allclose(F.H.to_dense(), A.to_dense(), atol=1e-15)
     assert rel_err(A, F) == 0.0
     assert F.storage_scalars == 100 + 10
@@ -52,7 +53,7 @@ def test_untruncated_round_trip():
     A = random_symmetric(12, seed=3)
     F = factor_symmetric(A, 4, seed=1, truncate=False)
     assert rel_err(A, F) <= 1e-10
-    assert len(F.rotations) == 12 - 4
+    assert len(F.left) == 12 - 4
 
 
 def test_rejects_asymmetric_input():
@@ -73,19 +74,19 @@ def test_core_block_symmetric_and_core_diagonal_form():
     A = random_symmetric(9, seed=4)
     F = factor_symmetric(A, 3, seed=2)
     h = F.H.to_dense()
-    core = sorted(F.core_set)
+    core = sorted(F.core_rows)
     assert np.max(np.abs(h - h.T)) <= 1e-12
     for i in range(9):
         for j in range(9):
-            if i != j and not (i in F.core_set and j in F.core_set):
+            if i != j and not (i in F.core_rows and j in F.core_rows):
                 assert h[i, j] == 0.0
     assert len(core) == 3
-    assert len(F.retired) == 6
+    assert len(F.row_retired) == 6
 
 
 def test_reconstruction_symmetric():
     A = random_symmetric(11, seed=9)
-    R = reconstruct_sym(factor_symmetric(A, 4, seed=5)).to_dense()
+    R = reconstruct(factor_symmetric(A, 4, seed=5)).to_dense()
     assert np.max(np.abs(R - R.T)) <= 1e-11
 
 
@@ -93,8 +94,8 @@ def test_zeroed_core_reconstructs_zero():
     A = random_symmetric(6, seed=2)
     F = factor_symmetric(A, 2, seed=0)
     Z = type(F.H)(F.H.n, F.H.row_set, F.H.col_set, np.zeros_like(F.H.core), ())
-    F0 = type(F)(F.n, F.rotations, F.core_set, Z, F.retired)
-    assert np.max(np.abs(reconstruct_sym(F0).to_dense())) == 0.0
+    F0 = dataclasses.replace(F, H=Z)
+    assert np.max(np.abs(reconstruct(F0).to_dense())) == 0.0
 
 
 # ---------------------------------------------------------------- oracles
@@ -141,10 +142,10 @@ def test_exhaustive_small_check():
     A = random_symmetric(4, seed=13)
     F = factor_symmetric(A, 2, seed=3)
     work = A.to_dense().copy()
-    for g in F.rotations:
+    for g in F.left:
         gm = g.matrix()
         work = gm.T @ work @ gm
-    core = sorted(F.core_set)
+    core = sorted(F.core_rows)
     kept = np.diag(np.diag(work)).copy()
     kept[np.ix_(core, core)] = work[np.ix_(core, core)]
     assert np.max(np.abs(kept - F.H.to_dense())) <= 1e-12
@@ -164,11 +165,11 @@ def test_retired_indices_never_rotated_again():
     A = random_symmetric(12, seed=10)
     F = factor_symmetric(A, 3, seed=4)
     seen = set()
-    for g, retired in zip(F.rotations, F.retired):
+    for g, retired in zip(F.left, F.row_retired):
         assert g.i not in seen and g.j not in seen
         assert retired in (g.i, g.j)
         seen.add(retired)
-    assert seen.isdisjoint(F.core_set)
+    assert seen.isdisjoint(F.core_rows)
 
 
 @settings(deadline=None, max_examples=20)
