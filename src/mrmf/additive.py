@@ -17,7 +17,7 @@ from .cores import CoreSparse
 from .direct import Factorization, reconstruct
 from .matrices import IndexSet, SquareMatrix, split_symmetric_skew
 from .skew import factor_skew
-from .storage import BudgetError, StorageBudget, minimum_storage, solve_core_size
+from .storage import BudgetError, minimum_storage, solve_core_size
 from .symmetric import factor_symmetric
 
 
@@ -53,13 +53,12 @@ def _sq_mass(M):
 def factor_additive(A, budget, seed):
     """Factor the symmetric and skew halves of A under a shared budget.
 
-    budget is a StorageBudget (measured against A) or an explicit scalar
-    count. A half with zero mass costs nothing and cedes its entire share;
-    otherwise each half is floored at its own minimum storable footprint
-    before the mass-proportional split is applied.
+    budget is a scalar count (convert a fraction with StorageBudget.scalars(A)).
+    A half with zero mass costs nothing and cedes its entire share; otherwise
+    each half is floored at its own minimum storable footprint before the
+    mass-proportional split is applied.
     """
     n = A.n
-    total = budget.scalars(A) if isinstance(budget, StorageBudget) else int(budget)
     S, K = split_symmetric_skew(A)
     mass_s, mass_k = _sq_mass(S), _sq_mass(K)
     sym_seed, skew_seed = np.random.SeedSequence(seed).spawn(2)
@@ -67,23 +66,23 @@ def factor_additive(A, budget, seed):
     if mass_s == 0.0 and mass_k == 0.0:
         return AdditiveFactorization(_empty(n), _empty(n), n)
     if mass_k == 0.0:
-        d = solve_core_size(S, "symmetric", total)
+        d = solve_core_size(S, "symmetric", budget)
         return AdditiveFactorization(factor_symmetric(S, d, sym_seed), _empty(n), n)
     if mass_s == 0.0:
-        d = solve_core_size(K, "skew", total)
+        d = solve_core_size(K, "skew", budget)
         return AdditiveFactorization(_empty(n), factor_skew(K, d, skew_seed), n)
 
     min_s = minimum_storage(n, "symmetric")
     min_k = minimum_storage(n, "skew")
-    if total < min_s + min_k:
+    if budget < min_s + min_k:
         raise BudgetError(
-            f"budget of {total} scalars cannot store both halves "
+            f"budget of {budget} scalars cannot store both halves "
             f"(minimum {min_s + min_k} at n={n})"
         )
-    share_s = int(round(total * mass_s / (mass_s + mass_k)))
-    share_s = min(max(share_s, min_s), total - min_k)
+    share_s = int(round(budget * mass_s / (mass_s + mass_k)))
+    share_s = min(max(share_s, min_s), budget - min_k)
     d_s = solve_core_size(S, "symmetric", share_s)
-    d_k = solve_core_size(K, "skew", total - share_s)
+    d_k = solve_core_size(K, "skew", budget - share_s)
     return AdditiveFactorization(
         factor_symmetric(S, d_s, sym_seed), factor_skew(K, d_k, skew_seed), n
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 from .additive import factor_additive, reconstruct_additive
 from .cores import Sparsifier
-from .cur import cur_decompose, cur_relative_error, cur_storage, hybrid_compress
+from .cur import cur_decompose, cur_relative_error, hybrid_compress
 from .data import DecaySpec, MatrixMetadata, fetch_suitesparse, gen_decay_matrix
 from .direct import factor_direct, reconstruct
 from .matrices import frobenius_relative_error
@@ -172,12 +172,14 @@ def compression_error(A, method, scalars, seed):
     """Run one method under a scalar budget; (error, storage, size parameter).
 
     The size parameter is the core size for factorization methods and the
-    rank for cur/hybrid. Storage is verified against the budget.
+    rank for cur/hybrid. For additive it is the symmetric half's core size,
+    or the skew half's when the symmetric half is empty (a purely skew
+    input). Storage is verified against the budget.
     """
     if method == "cur":
         r = solve_core_size(A, "cur", scalars)
         f = cur_decompose(A, r, seed)
-        storage = cur_storage(f)
+        storage = f.storage_scalars
         _check_budget(storage, scalars, method)
         return cur_relative_error(A, f), storage, r
     if method == "hybrid":
@@ -191,7 +193,7 @@ def compression_error(A, method, scalars, seed):
         F = factor_additive(A, scalars, seed)
         _check_budget(F.storage_scalars, scalars, method)
         err = frobenius_relative_error(A, reconstruct_additive(F))
-        return err, F.storage_scalars, len(F.sym.core_rows)
+        return err, F.storage_scalars, len(F.sym.core_rows) or len(F.skew.core_rows)
     if method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
         d = solve_core_size(A, method, scalars)
         kind = method.partition("-")[2]

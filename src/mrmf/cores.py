@@ -60,8 +60,7 @@ class CoreSparse:
 
     def to_dense(self):
         h = np.zeros((self.n, self.n))
-        if len(self.row_set) and len(self.col_set):
-            h[np.ix_(self.row_set.to_array(), self.col_set.to_array())] = self.core
+        h[np.ix_(self.row_set.to_array(), self.col_set.to_array())] = self.core
         for r, c, v in self.offcore:
             h[r, c] = v
         return h
@@ -141,8 +140,7 @@ def sparsify(h, row_set, col_set, rule):
     after m acceptances. Ties are broken by (row, col) order.
     """
     n = h.shape[0]
-    core = h[np.ix_(row_set.to_array(), col_set.to_array())] if len(row_set) and len(col_set) \
-        else np.zeros((len(row_set), len(col_set)))
+    core = h[np.ix_(row_set.to_array(), col_set.to_array())]
     kept = []
     if rule.kind == CORE_DIAGONAL:
         for i in range(n):
@@ -161,8 +159,7 @@ def sparsify(h, row_set, col_set, rule):
 def keep_all(h, row_set, col_set):
     """Untruncated CoreSparse: the whole matrix h (off-core kept verbatim)."""
     n = h.shape[0]
-    core = h[np.ix_(row_set.to_array(), col_set.to_array())] if len(row_set) and len(col_set) \
-        else np.zeros((len(row_set), len(col_set)))
+    core = h[np.ix_(row_set.to_array(), col_set.to_array())]
     kept = _top(h, _offcore_mask(n, row_set, col_set), h.size)
     return CoreSparse(n, row_set, col_set, core, tuple(kept))
 
@@ -185,6 +182,5 @@ def murnaghan_sparsify(h, core_set):
     kept = []
     for p, q, v in _greedy_disjoint(h, mask, int(non.sum()) // 2, used, used):
         kept += [(p, q, v), (q, p, -v)]
-    core = h[np.ix_(core_set.to_array(), core_set.to_array())] if len(core_set) \
-        else np.zeros((0, 0))
+    core = h[np.ix_(core_set.to_array(), core_set.to_array())]
     return CoreSparse(n, core_set, core_set, core, tuple(kept))

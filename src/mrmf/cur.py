@@ -15,14 +15,10 @@ import numpy as np
 
 from .cores import GREEDY_TOP_N, Sparsifier
 from .direct import Factorization, factor_direct, reconstruct
-from .matrices import IndexSet, SquareMatrix
-from .storage import StorageBudget, solve_core_size
+from .matrices import IndexSet, SquareMatrix, frobenius_relative_error
+from .storage import solve_core_size
 
 PINV_RCOND = 1e-12
-# Above this dimension the residual norm is assembled from r-sized Gram
-# products instead of the dense n x n difference (memory, not accuracy:
-# the Gram route loses half the digits to cancellation).
-DENSE_RESIDUAL_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -59,13 +55,9 @@ class CurFactors:
 
     @property
     def storage_scalars(self):
-        return cur_storage(self)
-
-
-def cur_storage(f):
-    """Stored scalars: entries of C, U, R plus one index per kept row/column."""
-    n, r = f.n, f.r
-    return 2 * n * r + r * r + 2 * r
+        """Stored scalars: entries of C, U, R plus one index per kept row/column."""
+        n, r = self.n, self.r
+        return 2 * n * r + r * r + 2 * r
 
 
 def _sample_ids(rng, weights, r):
@@ -121,14 +113,7 @@ def cur_relative_error(A, f):
     norm_a = np.linalg.norm(a)
     if norm_a == 0.0:
         raise ValueError("relative error undefined for a zero matrix")
-    if A.n <= DENSE_RESIDUAL_CUTOFF:
-        return float(np.linalg.norm(a - f.C @ (f.U @ f.R)) / norm_a)
-    # ||A - CUR||^2 = ||A||^2 - 2<A, CUR> + ||CUR||^2 with every product r-sized
-    cross = float(np.sum((f.R @ a.T @ f.C).T * f.U))
-    gram = (f.C.T @ f.C) @ f.U @ (f.R @ f.R.T)
-    approx_sq = float(np.sum(gram * f.U))
-    resid_sq = max(norm_a**2 - 2.0 * cross + approx_sq, 0.0)
-    return float(np.sqrt(resid_sq) / norm_a)
+    return float(np.linalg.norm(a - f.C @ (f.U @ f.R)) / norm_a)
 
 
 @dataclass(frozen=True)
@@ -152,17 +137,15 @@ class HybridResult:
 def hybrid_compress(A, r, k, seed):
     """CUR to rank r, then greedy two-sided factorization of M = CUR under k.
 
-    k is the storage target for the kept factorization, as a scalar count or
-    a StorageBudget measured against A. The CUR factors are intermediate
+    k is the scalar count the kept factorization may store (convert a
+    fraction with StorageBudget.scalars(A)). The CUR factors are intermediate
     (recomputable from the seed) and do not count toward k. Error is the
     relative Frobenius residual of the final reconstruction against A.
     """
-    scalars = k.scalars(A) if isinstance(k, StorageBudget) else int(k)
     cur_seed, mmf_seed = np.random.SeedSequence(seed).spawn(2)
     f = cur_decompose(A, r, cur_seed)
     M = reconstruct_cur(f)
-    d = solve_core_size(M, "direct-greedytopn", scalars)
+    d = solve_core_size(M, "direct-greedytopn", k)
     factor = factor_direct(M, d, Sparsifier(GREEDY_TOP_N), mmf_seed)
-    a = A.to_dense()
-    err = float(np.linalg.norm(a - reconstruct(factor).to_dense()) / np.linalg.norm(a))
-    return HybridResult(int(r), scalars, factor, err)
+    err = frobenius_relative_error(A, reconstruct(factor))
+    return HybridResult(int(r), int(k), factor, err)

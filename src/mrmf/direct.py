@@ -54,18 +54,18 @@ class Factorization:
         return 3 * (len(self.left) + len(self.right)) + self.H.storage_scalars(idx)
 
 
-def sweep_and_truncate(A, core_size, seed, conjugate, truncate, level_callback=None):
+def sweep_and_truncate(A, core_size, seed, conjugate, truncate):
     """Sweep A down to core_size active indices, then truncate the rotated matrix.
 
-    conjugate selects conjugation_sweep (level_callback goes to it) over
-    two_basis_sweep. truncate(h, rows, cols) turns the unpermuted rotated
-    matrix and the surviving core sets into the stored CoreSparse.
+    conjugate selects conjugation_sweep over two_basis_sweep. truncate(h,
+    rows, cols) turns the unpermuted rotated matrix and the surviving core
+    sets into the stored CoreSparse.
     """
     n = A.n
     a = np.array(A.to_dense(), dtype=np.float64)
     rng = np.random.default_rng(seed)
     if conjugate:
-        left, row_perm, row_ret = conjugation_sweep(a, core_size, rng, level_callback)
+        left, row_perm, row_ret = conjugation_sweep(a, core_size, rng)
         right, col_perm, col_ret = left, row_perm, row_ret
     else:
         left, right, row_perm, col_perm, row_ret, col_ret = two_basis_sweep(a, core_size, rng)

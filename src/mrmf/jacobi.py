@@ -11,7 +11,8 @@ rotation or swap is the column rotation or swap of ``a``, with the same
 elementwise arithmetic, so the direct column phase is the kernel on ``a.T``
 and conjugation is the kernel that also applies each row step to ``a.T``.
 Each sweep draws all its pivots with one ``rng.integers(highs)`` call, the
-same stream as one scalar draw per level.
+same stream as one scalar draw per level, so a sweep to a smaller core size
+repeats the levels of a shallower one and continues.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _pick_retire(pos_a, pos_b, mass_a, mass_b, labels):
     return pos_a if labels[pos_a] <= labels[pos_b] else pos_b
 
 
-def _level(a, rows, cols, ip, labels, conjugate=False, callback=None):
+def _level(a, rows, cols, ip, labels, conjugate=False):
     """One greedy level on the leading rows x cols block of a.
 
     Pairs row ip with its most similar active row (ties go to the smaller
@@ -70,8 +71,6 @@ def _level(a, rows, cols, ip, labels, conjugate=False, callback=None):
         q *= c
         q -= s * p
         p[...] = rotated
-    if callback is not None:
-        callback(a)
     mi, mj = float(x @ x), float(y @ y)
     if conjugate:  # off-diagonal mass only
         mi -= float(a[ip, ip]) ** 2
@@ -86,13 +85,12 @@ def _level(a, rows, cols, ip, labels, conjugate=False, callback=None):
     return rotation, int(labels[last])
 
 
-def conjugation_sweep(a, core_size, rng, level_callback=None):
+def conjugation_sweep(a, core_size, rng):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
     Runs until core_size positions stay active (but never below one). Mutates
     `a` in place; on exit a holds the rotated matrix with rows and columns
-    permuted identically by the returned label array. level_callback, when
-    given, sees the working matrix after every rotation.
+    permuted identically by the returned label array.
 
     Returns (rotations, perm, retired_labels).
     """
@@ -101,7 +99,7 @@ def conjugation_sweep(a, core_size, rng, level_callback=None):
     highs = np.arange(n, max(core_size, 1), -1)
     rotations, retired = [], []
     for k, ip in zip(highs.tolist(), rng.integers(highs).tolist()):
-        rotation, label = _level(a, k, k, ip, perm, conjugate=True, callback=level_callback)
+        rotation, label = _level(a, k, k, ip, perm, conjugate=True)
         rotations.append(rotation)
         retired.append(label)
     return rotations, perm, retired

@@ -103,11 +103,6 @@ class SquareMatrix:
         rows, cols = np.nonzero(self._dense)
         return rows, cols, self._dense[rows, cols]
 
-    def transpose(self):
-        if self.is_sparse:
-            return SquareMatrix.from_coo(self.n, self._cols, self._rows, self._vals)
-        return SquareMatrix.from_dense(self.to_dense().T)
-
     def __repr__(self):
         kind = "coo" if self.is_sparse else "dense"
         return f"SquareMatrix(n={self.n}, nnz={self.nnz}, storage={kind})"
@@ -141,9 +136,6 @@ class IndexSet:
     def __contains__(self, i):
         return i in self._members
 
-    def complement(self):
-        return IndexSet(tuple(i for i in range(self.n) if i not in self._members), self.n)
-
     def to_array(self):
         return np.array(self.indices, dtype=np.int64)
 
@@ -175,9 +167,6 @@ class GivensRotation:
         g[self.i, self.j] = -s
         g[self.j, self.i] = s
         return g
-
-    def transposed(self):
-        return GivensRotation(self.i, self.j, -self.theta, self.n)
 
 
 def givens_from_gram2(g_ii, g_ij, g_jj):

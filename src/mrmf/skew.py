@@ -18,19 +18,19 @@ def _pairs(h, rows, cols):
     return murnaghan_sparsify(h, rows)
 
 
-def factor_skew(K, core_size, seed, truncate=True, level_callback=None):
+def factor_skew(K, core_size, seed, truncate=True):
     """Greedy skew factorization; core_size may be zero (pure pairing form).
 
     The level loop needs two active indices to rotate, so it stops at one
     active index when core_size = 0 and that leftover joins the pairing pool.
     With the default truncation every off-core entry (p, q, v) of H is
     stored with its exact mirror (q, p, -v) and no index appears in two
-    pairs; truncate=False keeps the rotated matrix verbatim instead.
+    pairs; truncate=False keeps the rotated matrix verbatim instead, the
+    unpermuted working matrix after the first n - core_size levels of any
+    deeper run.
     """
     if not 0 <= core_size <= K.n:
         raise ValueError(f"core_size must be in [0, {K.n}]")
     check_skew(K.to_dense())
     rule = _pairs if truncate else keep_all
-    return sweep_and_truncate(
-        K, core_size, seed, conjugate=True, truncate=rule, level_callback=level_callback
-    )
+    return sweep_and_truncate(K, core_size, seed, conjugate=True, truncate=rule)

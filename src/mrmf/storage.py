@@ -64,21 +64,17 @@ def predicted_storage(n, method, d):
 def solve_core_size(A, method, budget):
     """Largest core size (or CUR rank) whose predicted storage fits the budget.
 
-    budget may be a StorageBudget or an explicit scalar count. Deterministic
-    descending scan — predicted storage is not monotone in d at small d, and
-    n stays small enough that a scan costs nothing.
+    budget is a scalar count (convert a fraction with StorageBudget.scalars(A)).
+    Deterministic descending scan — predicted storage is not monotone in d
+    at small d, and n stays small enough that a scan costs nothing.
     """
-    scalars = budget if isinstance(budget, int) else budget.scalars(A)
-    return _solve_scalars(A.n, method, scalars)
-
-
-def _solve_scalars(n, method, scalars):
+    n = A.n
     lo = 0 if method == "skew" else 1
     for d in range(n, lo - 1, -1):
-        if predicted_storage(n, method, d) <= scalars:
+        if predicted_storage(n, method, d) <= budget:
             return d
     raise BudgetError(
-        f"budget of {scalars} scalars is below the minimum footprint of {method} at n={n}"
+        f"budget of {budget} scalars is below the minimum footprint of {method} at n={n}"
     )
 
 

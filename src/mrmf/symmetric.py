@@ -19,17 +19,15 @@ def _corediag(h, rows, cols):
     return sparsify(h, rows, cols, Sparsifier(CORE_DIAGONAL))
 
 
-def factor_symmetric(A, core_size, seed, truncate=True, level_callback=None):
+def factor_symmetric(A, core_size, seed, truncate=True):
     """Greedy symmetric factorization down to a core of core_size indices.
 
-    truncate=False keeps the full rotated matrix in H (lossless; useful for
-    round-trip checks). level_callback, when given, sees the working matrix
-    after every rotation (rows/columns compacted, i.e. permuted).
+    truncate=False keeps the full rotated matrix in H (lossless): the
+    unpermuted working matrix after the first n - core_size levels of any
+    deeper run.
     """
     if not 1 <= core_size <= A.n:
         raise ValueError(f"core_size must be in [1, {A.n}]")
     check_symmetric(A.to_dense())
     rule = _corediag if truncate else keep_all
-    return sweep_and_truncate(
-        A, core_size, seed, conjugate=True, truncate=rule, level_callback=level_callback
-    )
+    return sweep_and_truncate(A, core_size, seed, conjugate=True, truncate=rule)

@@ -71,9 +71,9 @@ def test_budget_too_small_raises():
         factor_additive(A, 20, seed=0)
 
 
-def test_storage_budget_object_accepted():
+def test_storage_budget_converted_at_call_site():
     A = random_general(12, seed=7)
-    F = factor_additive(A, StorageBudget(0.95, accounting="dense"), seed=1)
+    F = factor_additive(A, StorageBudget(0.95, accounting="dense").scalars(A), seed=1)
     assert F.storage_scalars <= int(np.ceil(0.95 * 144))
 
 

@@ -15,7 +15,7 @@ from mrmf import (
     SquareMatrix,
     StorageBudget,
     cur_decompose,
-    cur_storage,
+    factor_additive,
     factor_direct,
     factor_symmetric,
     frobenius_relative_error,
@@ -29,6 +29,7 @@ from mrmf.bench import (
     RUN_CSV_HEADER,
     CompressionReport,
     SweepConfig,
+    compression_error,
     derive_seed,
     format_win_table,
     load_manifest,
@@ -111,7 +112,7 @@ def test_predicted_storage_matches_actual_runs():
     assert F.storage_scalars <= predicted_storage(12, "direct-corediag", 3) == 105
 
     f = cur_decompose(G, 4, seed=9)
-    assert cur_storage(f) == predicted_storage(12, "cur", 4) == 120
+    assert f.storage_scalars == predicted_storage(12, "cur", 4) == 120
 
 
 def test_predicted_storage_bounds_actual_everywhere():
@@ -155,7 +156,7 @@ def test_solve_boundary_at_quarter_dense_50x50():
         "hybrid": 17,
     }
     for method, d_frozen in expected.items():
-        d = solve_core_size(A, method, budget)
+        d = solve_core_size(A, method, budget.scalars(A))
         assert d == d_frozen
         # independent linear-scan oracle over the storage model
         lo = 0 if method == "skew" else 1
@@ -168,11 +169,11 @@ def test_solve_boundary_at_quarter_dense_50x50():
             assert predicted_storage(50, method, d + 1) > 625
 
 
-def test_solve_accepts_int_or_budget():
+def test_solve_takes_scalar_count():
     A = _random_square(50, 11)
-    assert solve_core_size(A, "cur", StorageBudget(0.25, accounting="dense")) == (
-        solve_core_size(A, "cur", 625)
-    )
+    want = solve_core_size(A, "cur", 625)
+    assert solve_core_size(A, "cur", StorageBudget(0.25, accounting="dense").scalars(A)) == want
+    assert solve_core_size(A, "cur", np.int64(625)) == want
 
 
 def test_solve_below_minimum_raises():
@@ -577,3 +578,14 @@ def test_hybrid_at_full_rank_matches_direct_run():
     F = factor_direct(A, d, Sparsifier("greedytopn"), mmf_seed)
     err = frobenius_relative_error(A, reconstruct(F))
     assert abs(h.error - err) <= 1e-9
+
+
+def test_additive_param_is_the_core_size_of_a_stored_half():
+    # the symmetric half's core size, or the skew half's when only it exists
+    m = np.random.default_rng(4).standard_normal((40, 40))
+    for A, half in ((SquareMatrix.from_dense(m - m.T), "skew"),
+                    (SquareMatrix.from_dense(m), "sym")):
+        _, storage, param = compression_error(A, "additive", 800, 1)
+        F = factor_additive(A, 800, 1)
+        assert storage == F.storage_scalars <= 800
+        assert param == len(getattr(F, half).core_rows) > 0

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrmf import (
+    Sparsifier,
     SquareMatrix,
     factor_additive,
+    factor_direct,
     factor_skew,
     factor_symmetric,
     minimum_storage,
@@ -62,3 +64,23 @@ def test_conjugate_routes_store_one_sequence_and_core_set(case, data):
     assert empty.left == () and empty.storage_scalars == 0
     for half in (F.sym, F.skew):
         _check_conjugate(half)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.data())
+def test_shallower_runs_are_prefixes_of_deeper_runs(n, seed, data):
+    # the per-level view of criterion 3 rests on this: the run to core size
+    # k1 is the first n - k1 levels of the run to any smaller k2
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    k1 = data.draw(st.integers(2, n))
+    k2 = data.draw(st.integers(1, k1 - 1))
+    runs = [
+        lambda k: factor_symmetric(SquareMatrix.from_dense(m + m.T), k, seed),
+        lambda k: factor_skew(SquareMatrix.from_dense(m - m.T), k, seed),
+        lambda k: factor_direct(SquareMatrix.from_dense(m), k, Sparsifier("topn"), seed),
+    ]
+    for run in runs:
+        shallow, deep = run(k1), run(k2)
+        assert len(shallow.left) == n - k1
+        for side in ("left", "right", "row_retired", "col_retired"):
+            assert getattr(shallow, side) == getattr(deep, side)[: n - k1]

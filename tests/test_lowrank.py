@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-import mrmf.cur as cur_mod
 from mrmf import (
     CurFactors,
     SquareMatrix,
     cur_decompose,
     cur_relative_error,
-    cur_storage,
     frobenius_relative_error,
     gen_low_rank,
     hybrid_compress,
@@ -89,12 +87,12 @@ def test_diagonal_dominant_rank_one():
 def test_storage_golden():
     A = random_general(10, seed=9)
     f = cur_decompose(A, 2, seed=0)
-    assert cur_storage(f) == 2 * 10 * 2 + 4 + 4  # 48
+    assert f.storage_scalars == 2 * 10 * 2 + 4 + 4  # 48
 
 
 def test_storage_monotone_in_rank():
     A = random_general(10, seed=11)
-    sizes = [cur_storage(cur_decompose(A, r, seed=0)) for r in (1, 2, 4, 8)]
+    sizes = [cur_decompose(A, r, seed=0).storage_scalars for r in (1, 2, 4, 8)]
     assert sizes == sorted(sizes)
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
@@ -120,15 +118,6 @@ def test_u_recomputation_stability():
     direct = f.C @ (np.linalg.pinv(f.C) @ a @ np.linalg.pinv(f.R)) @ f.R
     kept = reconstruct_cur(f).to_dense()
     assert np.linalg.norm(kept - direct) <= 1e-9 * np.linalg.norm(a)
-
-
-def test_gram_error_path_matches_dense(monkeypatch):
-    A = random_general(60, seed=17)
-    f = cur_decompose(A, 8, seed=3)
-    dense_err = cur_relative_error(A, f)
-    monkeypatch.setattr(cur_mod, "DENSE_RESIDUAL_CUTOFF", 10)
-    gram_err = cur_relative_error(A, f)
-    assert abs(dense_err - gram_err) <= 1e-9
 
 
 def test_error_never_negative():
