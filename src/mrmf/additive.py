@@ -54,38 +54,30 @@ def factor_additive(A, budget, seed):
     """Factor the symmetric and skew halves of A under a shared budget.
 
     budget is a scalar count (convert a fraction with StorageBudget.scalars(A)).
-    A half with zero mass costs nothing and cedes its entire share; otherwise
-    each half is floored at its own minimum storable footprint before the
-    mass-proportional split is applied.
+    Each half with mass is floored at its own minimum storable footprint
+    before the mass-proportional split is applied; a half with zero mass has
+    minimum and share 0 and stores nothing.
     """
     n = A.n
     S, K = split_symmetric_skew(A)
     mass_s, mass_k = _sq_mass(S), _sq_mass(K)
     sym_seed, skew_seed = np.random.SeedSequence(seed).spawn(2)
 
-    if mass_s == 0.0 and mass_k == 0.0:
-        return AdditiveFactorization(_empty(n), _empty(n), n)
-    if mass_k == 0.0:
-        d = solve_core_size(S, "symmetric", budget)
-        return AdditiveFactorization(factor_symmetric(S, d, sym_seed), _empty(n), n)
-    if mass_s == 0.0:
-        d = solve_core_size(K, "skew", budget)
-        return AdditiveFactorization(_empty(n), factor_skew(K, d, skew_seed), n)
-
-    min_s = minimum_storage(n, "symmetric")
-    min_k = minimum_storage(n, "skew")
+    min_s = minimum_storage(n, "symmetric") if mass_s else 0
+    min_k = minimum_storage(n, "skew") if mass_k else 0
     if budget < min_s + min_k:
         raise BudgetError(
-            f"budget of {budget} scalars cannot store both halves "
+            f"budget of {budget} scalars cannot store the nonzero halves "
             f"(minimum {min_s + min_k} at n={n})"
         )
-    share_s = int(round(budget * mass_s / (mass_s + mass_k)))
+    share_s = int(round(budget * mass_s / (mass_s + mass_k))) if mass_s else 0
     share_s = min(max(share_s, min_s), budget - min_k)
-    d_s = solve_core_size(S, "symmetric", share_s)
-    d_k = solve_core_size(K, "skew", budget - share_s)
-    return AdditiveFactorization(
-        factor_symmetric(S, d_s, sym_seed), factor_skew(K, d_k, skew_seed), n
-    )
+    sym, skew = _empty(n), _empty(n)
+    if mass_s:
+        sym = factor_symmetric(S, solve_core_size(S, "symmetric", share_s), sym_seed)
+    if mass_k:
+        skew = factor_skew(K, solve_core_size(K, "skew", budget - share_s), skew_seed)
+    return AdditiveFactorization(sym, skew, n)
 
 
 def reconstruct_additive(F):

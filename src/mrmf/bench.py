@@ -17,7 +17,7 @@ import json
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,22 +111,34 @@ def derive_seed(base_seed, *parts):
     return zlib.crc32(key.encode("ascii"))
 
 
-def load_sweep_config(path):
-    """Parse a line-oriented key=value sweep config file."""
-    known = {
-        "manifest", "methods", "fractions", "trials", "seed",
-        "output", "accounting", "cache_dir", "max_workers",
-    }
-    raw = {}
+def _lines(path):
+    """(line number, stripped text) of each line that is not blank or a #-comment."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _items(convert):
+    return lambda text: tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+
+
+_CONFIG_KEYS = {
+    "manifest": str, "methods": _items(str), "fractions": _items(float),
+    "trials": int, "seed": int, "output": str, "accounting": str,
+    "cache_dir": str, "max_workers": int,
+}
+
+
+def load_sweep_config(path):
+    """Parse a line-oriented key=value sweep config file."""
+    raw = {}
+    for lineno, stripped in _lines(path):
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in raw:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -134,26 +146,14 @@ def load_sweep_config(path):
     missing = {"manifest", "methods", "fractions", "output"} - raw.keys()
     if missing:
         raise ValueError(f"{path}: missing required keys {sorted(missing)}")
-    return SweepConfig(
-        manifest=raw["manifest"],
-        methods=tuple(m.strip() for m in raw["methods"].split(",") if m.strip()),
-        fractions=tuple(float(f) for f in raw["fractions"].split(",") if f.strip()),
-        trials=int(raw.get("trials", "3")),
-        seed=int(raw.get("seed", "0")),
-        output=raw["output"],
-        accounting=raw.get("accounting", SPARSE_COO),
-        cache_dir=raw.get("cache_dir", "cache"),
-        max_workers=int(raw.get("max_workers", "4")),
-    )
+    values = {key: _CONFIG_KEYS[key](value) for key, value in raw.items()}
+    return SweepConfig(**{"trials": 3, "seed": 0, **values})
 
 
 def load_manifest(path):
     """Read 'group/name' lines; blank lines and #-comments are skipped."""
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _lines(path):
         if "/" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected group/name, got {stripped!r}")
         group, _, name = stripped.partition("/")
@@ -299,19 +299,14 @@ def win_table(reports, method, baseline, tol=1e-12):
     """
     mine = {(r.matrix.group, r.matrix.name, r.fraction): r for r in reports if r.method == method}
     theirs = {(r.matrix.group, r.matrix.name, r.fraction): r for r in reports if r.method == baseline}
-    kinds = {}
+    kinds, totals = {}, {}
     for key, rep in sorted(mine.items()):
         if key not in theirs:
             continue
-        kind = rep.matrix.kind or "unknown"
-        cell = kinds.setdefault(kind, {}).setdefault(rep.fraction, [0, 0, 0])
         diff = rep.mean_error - theirs[key].mean_error
-        if diff < -tol:
-            cell[0] += 1
-        elif diff > tol:
-            cell[1] += 1
-        else:
-            cell[2] += 1
+        outcome = 0 if diff < -tol else 1 if diff > tol else 2  # win, loss, tie
+        for cells in (kinds.setdefault(rep.matrix.kind or "unknown", {}), totals):
+            cells.setdefault(rep.fraction, [0, 0, 0])[outcome] += 1
 
     def to_row(kind, cells):
         out = {"kind": kind, "cells": {}}
@@ -328,13 +323,6 @@ def win_table(reports, method, baseline, tol=1e-12):
         return out
 
     rows = [to_row(kind, kinds[kind]) for kind in sorted(kinds)]
-    totals = {}
-    for cells in kinds.values():
-        for fraction, (w, l, t) in cells.items():
-            agg = totals.setdefault(fraction, [0, 0, 0])
-            agg[0] += w
-            agg[1] += l
-            agg[2] += t
     rows.append(to_row("total", totals))
     return {"method": method, "baseline": baseline, "rows": rows}
 
@@ -384,39 +372,14 @@ def sweep_json(result, config):
             "seed": config.seed,
             "accounting": config.accounting,
         },
-        "reports": [
-            {
-                "matrix": {
-                    "group": r.matrix.group, "name": r.matrix.name,
-                    "kind": r.matrix.kind, "n": r.matrix.n, "nnz": r.matrix.nnz,
-                    "numerical_symmetry": r.matrix.numerical_symmetry,
-                },
-                "method": r.method,
-                "fraction": r.fraction,
-                "trials": r.trials,
-                "mean_error": r.mean_error,
-                "std_error": r.std_error,
-                "wall_time_s": r.wall_time_s,
-            }
-            for r in result.reports
-        ],
+        "reports": [asdict(r) for r in result.reports],
         "failures": list(result.failures),
         "win_tables": result.win_tables,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_sweep_outputs(result, config):
-    """CSV at config.output, JSON next to it with a .json suffix."""
-    csv_path = Path(config.output)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(sweep_csv(result))
-    json_path = csv_path.with_suffix(".json")
-    json_path.write_text(sweep_json(result, config))
-    return csv_path, json_path
-
-
-def run_decay_sweep(n, t_list, seed, output=None, core_size=DECAY_CORE_SIZE):
+def run_decay_sweep(n, t_list, seed, core_size=DECAY_CORE_SIZE):
     """Symmetric-factorization error across spectrum decay rates.
 
     The orthogonal basis is fixed (same seed) across t, matching the
@@ -426,7 +389,7 @@ def run_decay_sweep(n, t_list, seed, output=None, core_size=DECAY_CORE_SIZE):
     alpha (I - Q diag(b_t) Q^T) and tends to a scaled identity. The
     truncation keeps every retired diagonal, so the alpha I part is never
     dropped and the error is at most ||b_t|| / ||1 - b_t||, which shrinks
-    with t. Returns [(t, error)] and optionally writes 't,error' CSV.
+    with t. Returns [(t, error)].
     """
     rows = []
     for t in t_list:
@@ -434,15 +397,10 @@ def run_decay_sweep(n, t_list, seed, output=None, core_size=DECAY_CORE_SIZE):
         F = factor_symmetric(A, core_size, derive_seed(seed, "decay", repr(float(t))))
         err = frobenius_relative_error(A, reconstruct(F))
         rows.append((float(t), err))
-    if output is not None:
-        path = Path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["t,error"] + [f"{t:.17g},{err:.17g}" for t, err in rows]
-        path.write_text("\n".join(lines) + "\n")
     return rows
 
 
-def run_rank_sweep(A, r_list, fraction=0.05, seed=0, output=None, accounting=SPARSE_COO):
+def run_rank_sweep(A, r_list, fraction=0.05, seed=0, accounting=SPARSE_COO):
     """Hybrid error per CUR rank plus CUR-only and MMF-only baselines.
 
     All three pipelines share one scalar budget. Returns row tuples
@@ -461,9 +419,4 @@ def run_rank_sweep(A, r_list, fraction=0.05, seed=0, output=None, accounting=SPA
         A, "direct-greedytopn", scalars, derive_seed(seed, "mmf")
     )
     rows.append(("mmf", mmf_core, mmf_err))
-    if output is not None:
-        path = Path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["series,param,error"] + [f"{s},{p},{e:.17g}" for s, p, e in rows]
-        path.write_text("\n".join(lines) + "\n")
     return rows

@@ -3,7 +3,9 @@
 Subcommands: fetch (warm the matrix cache), sweep (full compression
 benchmark from a config file), decay (error vs spectrum decay rate),
 rankscan (hybrid error vs CUR rank), factor (one matrix, one method, one
-budget). Exit codes: 0 success, 1 runtime failure, 2 bad usage/config.
+budget). The library returns rows; every output file is written here,
+through _write. Exit codes: 0 success, 1 runtime failure, 2 bad
+usage/config.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bench import (
@@ -25,7 +28,8 @@ from .bench import (
     run_decay_sweep,
     run_rank_sweep,
     run_sweep,
-    write_sweep_outputs,
+    sweep_csv,
+    sweep_json,
 )
 from .data import fetch_suitesparse, gen_mixed_matrix, parse_matrix_market
 from .storage import DENSE, SPARSE_COO, StorageBudget
@@ -39,6 +43,14 @@ def _float_list(text):
 
 def _int_list(text):
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _write(path, text):
+    """Write text to path, creating its parent directories; return the Path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
 
 
 def _load_matrix(spec, cache_dir):
@@ -68,7 +80,8 @@ def _cmd_fetch(args):
 def _cmd_sweep(args):
     config = load_sweep_config(args.config)
     result = run_sweep(config, log=print if args.verbose else None)
-    csv_path, json_path = write_sweep_outputs(result, config)
+    csv_path = _write(config.output, sweep_csv(result))
+    json_path = _write(csv_path.with_suffix(".json"), sweep_json(result, config))
     print(f"{len(result.rows)} runs, {len(result.failures)} failures")
     print(f"wrote {csv_path} and {json_path}")
     for table in result.win_tables.values():
@@ -80,7 +93,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_decay(args):
-    rows = run_decay_sweep(args.n, args.t_list, args.seed, args.out, args.core_size)
+    rows = run_decay_sweep(args.n, args.t_list, args.seed, args.core_size)
+    lines = [f"{t:.17g},{e:.17g}\n" for t, e in rows]
+    _write(args.out, "".join(["t,error\n"] + lines))
     for t, err in rows:
         print(f"t={t:g} error={err:.6f}")
     print(f"wrote {args.out}")
@@ -90,9 +105,10 @@ def _cmd_decay(args):
 def _cmd_rankscan(args):
     A = _load_matrix(args.matrix, args.cache_dir)[0] if args.matrix else gen_mixed_matrix()
     rows = run_rank_sweep(
-        A, args.r_list, fraction=args.fraction, seed=args.seed,
-        output=args.out, accounting=args.accounting,
+        A, args.r_list, fraction=args.fraction, seed=args.seed, accounting=args.accounting
     )
+    lines = [f"{s},{p},{e:.17g}\n" for s, p, e in rows]
+    _write(args.out, "".join(["series,param,error\n"] + lines))
     for series, param, err in rows:
         print(f"{series:<8} param={param:<6} error={err:.6f}")
     hybrid = {p: e for s, p, e in rows if s == "hybrid"}
@@ -112,11 +128,7 @@ def _cmd_factor(args):
     seed = derive_seed(args.seed, args.matrix, args.method, repr(args.fraction))
     err, storage, param = compression_error(A, args.method, scalars, seed)
     report = {
-        "matrix": {
-            "source": args.matrix, "group": meta.group, "name": meta.name,
-            "kind": meta.kind, "n": meta.n, "nnz": meta.nnz,
-            "numerical_symmetry": meta.numerical_symmetry,
-        },
+        "matrix": {"source": args.matrix, **asdict(meta)},
         "method": args.method,
         "fraction": args.fraction,
         "accounting": args.accounting,
@@ -128,9 +140,7 @@ def _cmd_factor(args):
     print(f"{args.method} @ {args.fraction:g}: error={err:.6f} "
           f"storage={storage}/{scalars} param={param}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out = _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
     return 0
 

@@ -61,8 +61,9 @@ class CoreSparse:
     def to_dense(self):
         h = np.zeros((self.n, self.n))
         h[np.ix_(self.row_set.to_array(), self.col_set.to_array())] = self.core
-        for r, c, v in self.offcore:
-            h[r, c] = v
+        if self.offcore:
+            rows, cols, vals = zip(*self.offcore)
+            h[rows, cols] = vals
         return h
 
     def storage_scalars(self, index_scalars):
@@ -137,30 +138,20 @@ def sparsify(h, row_set, col_set, rule):
     nonzero off-core diagonal position; topn keeps the m largest off-core
     entries by |value|; greedytopn scans in descending |value| and accepts an
     entry only if neither its row nor its column was already used, stopping
-    after m acceptances. Ties are broken by (row, col) order.
+    after m acceptances. Ties are broken by (row, col) order. topn with
+    m = n * n keeps every off-core entry: the untruncated form.
     """
     n = h.shape[0]
     core = h[np.ix_(row_set.to_array(), col_set.to_array())]
-    kept = []
+    mask = _offcore_mask(n, row_set, col_set)
+    m = rule.m if rule.m is not None else max(n - len(row_set), 0)
     if rule.kind == CORE_DIAGONAL:
-        for i in range(n):
-            if (i not in row_set or i not in col_set) and h[i, i] != 0.0:
-                kept.append((i, i, float(h[i, i])))
+        diag = np.flatnonzero(np.diagonal(mask) & (np.diagonal(h) != 0.0))
+        kept = _entries(h, diag * (n + 1))
+    elif rule.kind == TOP_N:
+        kept = _top(h, mask, m)
     else:
-        m = rule.m if rule.m is not None else max(n - len(row_set), 0)
-        mask = _offcore_mask(n, row_set, col_set)
-        if rule.kind == TOP_N:
-            kept = _top(h, mask, m)
-        else:
-            kept = _greedy_disjoint(h, mask, m, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-    return CoreSparse(n, row_set, col_set, core, tuple(kept))
-
-
-def keep_all(h, row_set, col_set):
-    """Untruncated CoreSparse: the whole matrix h (off-core kept verbatim)."""
-    n = h.shape[0]
-    core = h[np.ix_(row_set.to_array(), col_set.to_array())]
-    kept = _top(h, _offcore_mask(n, row_set, col_set), h.size)
+        kept = _greedy_disjoint(h, mask, m, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
     return CoreSparse(n, row_set, col_set, core, tuple(kept))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cores import CoreSparse, Sparsifier, keep_all, sparsify
+from .cores import TOP_N, CoreSparse, Sparsifier, sparsify
 from .jacobi import conjugation_sweep, two_basis_reconstruct, two_basis_sweep, unpermute
 from .matrices import IndexSet, SquareMatrix
 
@@ -59,7 +59,8 @@ def sweep_and_truncate(A, core_size, seed, conjugate, truncate):
 
     conjugate selects conjugation_sweep over two_basis_sweep. truncate(h,
     rows, cols) turns the unpermuted rotated matrix and the surviving core
-    sets into the stored CoreSparse.
+    sets into the stored CoreSparse; None keeps every entry (topn with
+    m = n * n), the lossless form.
     """
     n = A.n
     a = np.array(A.to_dense(), dtype=np.float64)
@@ -72,7 +73,8 @@ def sweep_and_truncate(A, core_size, seed, conjugate, truncate):
     hbar = unpermute(a, row_perm, col_perm)
     rows, cols = (IndexSet(tuple(sorted(int(i) for i in p[:core_size])), n)
                   for p in (row_perm, col_perm))
-    h = truncate(hbar, rows, cols)
+    lossless = Sparsifier(TOP_N, m=n * n)
+    h = truncate(hbar, rows, cols) if truncate else sparsify(hbar, rows, cols, lossless)
     return Factorization(
         n, tuple(left), tuple(right), h, tuple(row_ret), tuple(col_ret), conjugate
     )
@@ -94,7 +96,7 @@ def factor_direct(A, core_size, sparsifier, seed, truncate=True):
         return sparsify(h, rows, cols, sparsifier)
 
     return sweep_and_truncate(A, core_size, seed, conjugate=False,
-                              truncate=rule if truncate else keep_all)
+                              truncate=rule if truncate else None)
 
 
 def reconstruct(F):

@@ -79,7 +79,8 @@ class SquareMatrix:
 
     @property
     def is_sparse(self):
-        return self._dense is None
+        """COO storage; a cached dense view from to_dense() does not change it."""
+        return self._rows is not None
 
     @property
     def nnz(self):

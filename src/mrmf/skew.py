@@ -9,7 +9,7 @@ by greedy magnitude matching.
 
 from __future__ import annotations
 
-from .cores import keep_all, murnaghan_sparsify
+from .cores import murnaghan_sparsify
 from .direct import sweep_and_truncate
 from .matrices import check_skew
 
@@ -32,5 +32,5 @@ def factor_skew(K, core_size, seed, truncate=True):
     if not 0 <= core_size <= K.n:
         raise ValueError(f"core_size must be in [0, {K.n}]")
     check_skew(K.to_dense())
-    rule = _pairs if truncate else keep_all
+    rule = _pairs if truncate else None
     return sweep_and_truncate(K, core_size, seed, conjugate=True, truncate=rule)

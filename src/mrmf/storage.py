@@ -28,8 +28,8 @@ class StorageBudget:
     accounting: str = SPARSE_COO
 
     def __post_init__(self):
-        if not self.fraction > 0.0:
-            raise ValueError("fraction must be positive")
+        if not 0.0 < self.fraction < math.inf:
+            raise ValueError(f"fraction must be finite and positive, got {self.fraction}")
         if self.accounting not in (SPARSE_COO, DENSE):
             raise ValueError(f"unknown accounting mode {self.accounting!r}")
 

@@ -10,7 +10,7 @@ off-diagonal residual is smaller.
 
 from __future__ import annotations
 
-from .cores import CORE_DIAGONAL, Sparsifier, keep_all, sparsify
+from .cores import CORE_DIAGONAL, Sparsifier, sparsify
 from .direct import sweep_and_truncate
 from .matrices import check_symmetric
 
@@ -29,5 +29,5 @@ def factor_symmetric(A, core_size, seed, truncate=True):
     if not 1 <= core_size <= A.n:
         raise ValueError(f"core_size must be in [1, {A.n}]")
     check_symmetric(A.to_dense())
-    rule = _corediag if truncate else keep_all
+    rule = _corediag if truncate else None
     return sweep_and_truncate(A, core_size, seed, conjugate=True, truncate=rule)

@@ -54,6 +54,39 @@ def test_zero_matrix_is_free():
     assert np.max(np.abs(reconstruct_additive(F).to_dense())) == 0.0
 
 
+_M12 = np.random.default_rng(21).standard_normal((12, 12))
+_HALF_INPUTS = {
+    "zero": np.zeros_like(_M12), "symmetric": _M12 + _M12.T, "skew": _M12 - _M12.T, "mixed": _M12,
+}
+
+
+@pytest.mark.parametrize(
+    "name,budget,storage,cores",
+    [
+        ("zero", 140, (0, 0), (0, 0)),
+        ("zero", 180, (0, 0), (0, 0)),
+        ("symmetric", 140, (138, 0), (11, 0)),
+        ("symmetric", 180, (156, 0), (12, 0)),
+        ("skew", 140, (0, 135), (0, 11)),
+        ("skew", 180, (0, 156), (0, 12)),
+        ("mixed", 140, (72, 63), (5, 3)),
+        ("mixed", 180, (96, 69), (8, 5)),
+    ],
+)
+def test_half_storage_and_core_sizes_pinned(name, budget, storage, cores):
+    # one budget split serves every input: a zero-mass half has minimum
+    # and share 0 and stores nothing, the other half gets the whole budget
+    F = factor_additive(dense(_HALF_INPUTS[name]), budget, seed=3)
+    assert (F.sym.storage_scalars, F.skew.storage_scalars) == storage
+    assert (len(F.sym.core_rows), len(F.skew.core_rows)) == cores
+
+
+@pytest.mark.parametrize("name,minimum", [("symmetric", 66), ("skew", 63)])
+def test_one_half_budget_too_small_raises(name, minimum):
+    with pytest.raises(BudgetError, match=f"nonzero halves \\(minimum {minimum} at n=12\\)"):
+        factor_additive(dense(_HALF_INPUTS[name]), 20, seed=0)
+
+
 # ---------------------------------------------------------------- budget accounting
 
 

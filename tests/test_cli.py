@@ -1,7 +1,8 @@
 """End-to-end command-line tests, fully offline.
 
 Matrices come from local .mtx files or a pre-warmed cache directory; the
-only test that exercises a cache miss asserts the failure path.
+only test that exercises a cache miss replaces the download with a 404 and
+asserts the failure path.
 """
 
 import json
@@ -14,9 +15,21 @@ import numpy as np
 import pytest
 
 import mrmf
+import mrmf.data
 from mrmf import SquareMatrix, gen_mixed_matrix, parse_matrix_market, write_matrix_market
-from mrmf.bench import RUN_CSV_HEADER, compression_error, derive_seed, run_rank_sweep
+from mrmf.bench import (
+    RUN_CSV_HEADER,
+    compression_error,
+    derive_seed,
+    load_sweep_config,
+    run_decay_sweep,
+    run_rank_sweep,
+    run_sweep,
+    sweep_csv,
+    sweep_json,
+)
 from mrmf.cli import main
+from mrmf.data import MatrixNotFoundError
 from mrmf.storage import StorageBudget
 
 
@@ -44,8 +57,13 @@ def test_fetch_warm_cache(cli_env, capsys):
     assert "kind=?" in out
 
 
-def test_fetch_missing_matrix_fails(cli_env, capsys):
+def test_fetch_missing_matrix_fails(cli_env, capsys, monkeypatch):
     tmp, cache, _, _ = cli_env
+
+    def not_found(url, timeout=60.0):
+        raise MatrixNotFoundError(f"no such matrix in the collection: {url}")
+
+    monkeypatch.setattr(mrmf.data, "_default_http_get", not_found)
     manifest = tmp / "missing.txt"
     manifest.write_text("Missing/gone\n")
     rc = main(["fetch", str(manifest), "--cache-dir", str(cache)])
@@ -70,6 +88,9 @@ def test_factor_local_mtx_with_report(cli_env, capsys):
     assert sorted(report) == [
         "accounting", "budget_scalars", "error", "fraction",
         "matrix", "method", "size_param", "storage_scalars",
+    ]
+    assert sorted(report["matrix"]) == [
+        "group", "kind", "n", "name", "nnz", "numerical_symmetry", "source",
     ]
     assert report["matrix"]["source"] == str(mtx)
     assert report["matrix"]["group"] == ""  # a bare file has no collection identity
@@ -130,6 +151,19 @@ def test_factor_bad_matrix_spec(cli_env, capsys):
     assert "expected group/name" in captured.err
 
 
+@pytest.mark.parametrize("command", ["factor", "rankscan"])
+def test_infinite_fraction_is_usage_error(cli_env, capsys, tmp_path, command):
+    _, _, _, mtx = cli_env
+    argv = {
+        "factor": ["factor", "--matrix", str(mtx), "--method", "cur"],
+        "rankscan": ["rankscan", "--r-list", "3", "--out", str(tmp_path / "rank.csv")],
+    }[command]
+    rc = main(argv + ["--fraction", "inf"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "fraction must be finite and positive" in captured.err
+
+
 def test_factor_unknown_method_rejected_by_parser(cli_env):
     _, _, _, mtx = cli_env
     with pytest.raises(SystemExit) as exc:
@@ -148,7 +182,8 @@ def test_decay_subcommand(cli_env, capsys, tmp_path):
     assert "t=2 error=0." in stdout
     lines = out.read_text().splitlines()
     assert lines[0] == "t,error"
-    assert len(lines) == 3
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert rows == run_decay_sweep(60, [1.0, 2.0], seed=3)
 
 
 def test_rankscan_subcommand(cli_env, capsys, tmp_path):
@@ -168,6 +203,9 @@ def test_rankscan_subcommand(cli_env, capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "series,param,error"
     assert len(lines) == 2 + 2 + 1  # header + one row per r + two baselines
+    A, _ = parse_matrix_market(mtx.read_bytes())
+    rows = [(s, int(p), float(e)) for s, p, e in (line.split(",") for line in lines[1:])]
+    assert rows == run_rank_sweep(A, [3, 16], fraction=0.25, seed=5)
 
 
 def test_rankscan_defaults_to_mixed_matrix_and_prints_verdict(capsys, tmp_path):
@@ -207,8 +245,27 @@ def test_sweep_subcommand(cli_env, capsys, tmp_path):
     assert "loaded Test/tiny: n=16 nnz=256" in stdout
     assert "2 runs, 0 failures" in stdout
     assert "win rate of additive vs cur" in stdout
+    assert f"wrote {csv_out} and {csv_out.with_suffix('.json')}" in stdout
     assert csv_out.read_text().splitlines()[0] == RUN_CSV_HEADER
-    json.loads(csv_out.with_suffix(".json").read_text())
+
+    # the files hold the library's own renderings of the same sweep; only
+    # the per-cell wall times differ between the two runs
+    cfg = load_sweep_config(config)
+
+    def no_net(url, timeout=60.0):
+        raise AssertionError(f"sweep tried the network: {url}")
+
+    again = run_sweep(cfg, http_get=no_net)
+    assert csv_out.read_text() == sweep_csv(again)
+
+    def timeless(text):
+        payload = json.loads(text)
+        for rep in payload["reports"]:
+            rep["wall_time_s"] = 0.0
+        return payload
+
+    written = csv_out.with_suffix(".json").read_text()
+    assert timeless(written) == timeless(sweep_json(again, cfg))
 
 
 def test_sweep_with_corrupt_cache_entry_writes_outputs_and_exits_1(cli_env, capsys, tmp_path):
@@ -252,6 +309,14 @@ def test_sweep_bad_config_is_usage_error(cli_env, capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 2
     assert "unknown config key" in captured.err
+
+
+def test_every_export_resolves_and_star_import_works():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    assert all(hasattr(mrmf, name) for name in mrmf.__all__)
+    namespace = {}
+    exec("from mrmf import *", namespace)
+    assert set(mrmf.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("module", ["mrmf", "mrmf.cli"])

@@ -128,6 +128,18 @@ def test_split_coo_without_entries():
     assert S.n == K.n == 1000
 
 
+def test_coo_stays_sparse_after_densify():
+    # to_dense() caches a dense view; the storage form, and with it the
+    # split branch, must not depend on whether anything densified A first
+    A = SquareMatrix.from_coo(5, [0, 1, 4], [3, 0, 4], [2.0, -1.0, 6.0])
+    A.to_dense()
+    assert A.is_sparse
+    assert repr(A) == "SquareMatrix(n=5, nnz=3, storage=coo)"
+    S, K = split_symmetric_skew(A)
+    assert S.is_sparse and K.is_sparse
+    assert K.to_coo()[2].tolist() == [0.5, 1.0, -0.5, -1.0]
+
+
 def test_from_coo_rejects_duplicate_explicit_zero():
     with pytest.raises(MatrixFormatError, match="duplicate"):
         SquareMatrix.from_coo(2, [0, 0], [0, 0], [0.0, 1.0])
