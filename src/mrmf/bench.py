@@ -18,6 +18,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ BENCH_METHODS = (
 )
 
 DECAY_CORE_SIZE = 10  # pinned budget for the decay sweep (deep factorization)
+TIE_TOL = 1e-12  # win tables: mean errors closer than this are a tie
 
 RUN_CSV_HEADER = (
     "group,name,kind,n,nnz,method,fraction,trial,seed,param,storage,budget,error"
@@ -62,10 +64,11 @@ class SweepConfig:
     max_workers: int = 4
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("methods list is empty")
-        if not self.fractions:
-            raise ValueError("fractions list is empty")
+        for key, values in (("methods", self.methods), ("fractions", self.fractions)):
+            if not values:
+                raise ValueError(f"{key} list is empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} list repeats an entry: {list(values)}")
         for m in self.methods:
             if m not in BENCH_METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {BENCH_METHODS})")
@@ -120,7 +123,9 @@ def _lines(path):
 
 
 def _items(convert):
-    return lambda text: tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+    def comma_separated_list(text):  # argparse names the type in its error message
+        return tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+    return comma_separated_list
 
 
 _CONFIG_KEYS = {
@@ -151,21 +156,17 @@ def load_sweep_config(path):
 
 
 def load_manifest(path):
-    """Read 'group/name' lines; blank lines and #-comments are skipped."""
-    entries = []
+    """Read distinct 'group/name' lines; blank lines and #-comments are skipped."""
+    first_line = {}
     for lineno, stripped in _lines(path):
         if "/" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected group/name, got {stripped!r}")
         group, _, name = stripped.partition("/")
-        entries.append((group.strip(), name.strip()))
-    return entries
-
-
-def _check_budget(storage, scalars, method):
-    if storage > scalars:
-        raise RuntimeError(
-            f"{method} stored {storage} scalars over its budget of {scalars}"
-        )
+        entry = (group.strip(), name.strip())
+        if entry in first_line:  # its runs would repeat seeds and pose as extra trials
+            raise ValueError(f"{path}:{lineno}: {stripped!r} repeats line {first_line[entry]}")
+        first_line[entry] = lineno
+    return list(first_line)
 
 
 def compression_error(A, method, scalars, seed):
@@ -176,38 +177,36 @@ def compression_error(A, method, scalars, seed):
     or the skew half's when the symmetric half is empty (a purely skew
     input). Storage is verified against the budget.
     """
-    if method == "cur":
-        r = solve_core_size(A, "cur", scalars)
-        f = cur_decompose(A, r, seed)
-        storage = f.storage_scalars
-        _check_budget(storage, scalars, method)
-        return cur_relative_error(A, f), storage, r
-    if method == "hybrid":
-        # default rank policy: the rank a stored CUR could afford; rank
-        # sweeps explore past it, where the hybrid earns its keep
-        r = solve_core_size(A, "cur", scalars)
-        h = hybrid_compress(A, r, scalars, seed)
-        _check_budget(h.storage_scalars, scalars, method)
-        return h.error, h.storage_scalars, r
-    if method == "additive":
+    if method in ("cur", "hybrid"):
+        # hybrid's default rank policy: the rank a stored CUR could afford;
+        # rank sweeps explore past it, where the hybrid earns its keep
+        param = solve_core_size(A, "cur", scalars)
+        if method == "cur":
+            f = cur_decompose(A, param, seed)
+            err, storage = cur_relative_error(A, f), f.storage_scalars
+        else:
+            h = hybrid_compress(A, param, scalars, seed)
+            err, storage = h.error, h.storage_scalars
+    elif method == "additive":
         F = factor_additive(A, scalars, seed)
-        _check_budget(F.storage_scalars, scalars, method)
         err = frobenius_relative_error(A, reconstruct_additive(F))
-        return err, F.storage_scalars, len(F.sym.core_rows) or len(F.skew.core_rows)
-    if method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
-        d = solve_core_size(A, method, scalars)
+        storage, param = F.storage_scalars, len(F.sym.core_rows) or len(F.skew.core_rows)
+    elif method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
+        param = solve_core_size(A, method, scalars)
         kind = method.partition("-")[2]
-        F = factor_direct(A, d, Sparsifier(kind), seed)
-        _check_budget(F.storage_scalars, scalars, method)
-        err = frobenius_relative_error(A, reconstruct(F))
-        return err, F.storage_scalars, d
-    raise ValueError(f"unknown method {method!r}")
+        F = factor_direct(A, param, Sparsifier(kind), seed)
+        err, storage = frobenius_relative_error(A, reconstruct(F)), F.storage_scalars
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if storage > scalars:
+        raise RuntimeError(f"{method} stored {storage} scalars over its budget of {scalars}")
+    return err, storage, param
 
 
 def run_sweep(config, http_get=None, log=None):
     """Full benchmark sweep: every (matrix, method, fraction, trial) item.
 
-    Items run on a bounded thread pool; assembly order is fixed by the
+    Items run on a bounded thread pool; rows and reports follow the
     manifest/methods/fractions/trial order, so output is deterministic.
     Matrices or runs that fail are recorded and skipped, never fatal.
     """
@@ -224,63 +223,53 @@ def run_sweep(config, http_get=None, log=None):
             failures.append({"matrix": label, "stage": "load", "error": str(exc)})
             say(f"skipped {label}: {exc}")
 
-    items = []
-    for label, A, meta in matrices:
-        for method in config.methods:
-            for fraction in config.fractions:
+    def run_item(A, row):
+        start = time.perf_counter()
+        err, storage, param = compression_error(A, row["method"], row["budget"], row["seed"])
+        elapsed = time.perf_counter() - start
+        return {**row, "param": param, "storage": storage, "error": err, "wall_time_s": elapsed}
+
+    items = []  # (label, metadata, the run's input row, its future), in item order
+    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
+        for label, A, meta in matrices:
+            for method, fraction in product(config.methods, config.fractions):
                 scalars = StorageBudget(fraction, config.accounting).scalars(A)
                 for trial in range(config.trials):
                     seed = derive_seed(config.seed, label, method, repr(fraction), trial)
-                    items.append((label, A, meta, method, fraction, scalars, trial, seed))
-
-    def run_item(item):
-        label, A, meta, method, fraction, scalars, trial, seed = item
-        start = time.perf_counter()
-        err, storage, param = compression_error(A, method, scalars, seed)
-        elapsed = time.perf_counter() - start
-        return {
-            "group": meta.group, "name": meta.name, "kind": meta.kind,
-            "n": meta.n, "nnz": meta.nnz, "method": method,
-            "fraction": fraction, "trial": trial, "seed": seed,
-            "param": param, "storage": storage, "budget": scalars,
-            "error": err, "wall_time_s": elapsed,
-        }
-
-    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        futures = [pool.submit(run_item, item) for item in items]
+                    row = {
+                        "group": meta.group, "name": meta.name, "kind": meta.kind,
+                        "n": meta.n, "nnz": meta.nnz, "method": method,
+                        "fraction": fraction, "trial": trial, "seed": seed, "budget": scalars,
+                    }
+                    items.append((label, meta, row, pool.submit(run_item, A, row)))
 
     rows = []
-    for item, fut in zip(items, futures):
-        label, _, _, method, fraction, _, trial, _ = item
+    cells = {}  # (matrix, method, fraction) -> (metadata, rows), in item order
+    for label, meta, row, fut in items:
+        method, fraction, trial = row["method"], row["fraction"], row["trial"]
         try:
-            rows.append(fut.result())
-            say(f"done {label} {method} f={fraction:g} trial={trial}")
+            done = fut.result()
         except Exception as exc:
             failures.append({
                 "matrix": label, "stage": f"{method}@{fraction:g}/trial{trial}",
                 "error": str(exc),
             })
             say(f"failed {label} {method} f={fraction:g} trial={trial}: {exc}")
+            continue
+        rows.append(done)
+        cells.setdefault((label, method, fraction), (meta, []))[1].append(done)
+        say(f"done {label} {method} f={fraction:g} trial={trial}")
 
-    cells = {}
-    for r in rows:
-        key = (r["group"], r["name"], r["method"], r["fraction"])
-        cells.setdefault(key, []).append(r)
     reports = []
-    for label, A, meta in matrices:
-        for method in config.methods:
-            for fraction in config.fractions:
-                cell = cells.get((meta.group, meta.name, method, fraction))
-                if not cell:
-                    continue
-                errs = np.array([r["error"] for r in cell])
-                reports.append(CompressionReport(
-                    matrix=meta, method=method, fraction=fraction,
-                    trials=len(cell),
-                    mean_error=float(errs.mean()),
-                    std_error=float(errs.std()),
-                    wall_time_s=float(sum(r["wall_time_s"] for r in cell)),
-                ))
+    for (_, method, fraction), (meta, cell) in cells.items():
+        errs = np.array([r["error"] for r in cell])
+        reports.append(CompressionReport(
+            matrix=meta, method=method, fraction=fraction,
+            trials=len(cell),
+            mean_error=float(errs.mean()),
+            std_error=float(errs.std()),
+            wall_time_s=float(sum(r["wall_time_s"] for r in cell)),
+        ))
 
     win_tables = {}
     if "cur" in config.methods:
@@ -290,10 +279,10 @@ def run_sweep(config, http_get=None, log=None):
     return SweepResult(tuple(reports), tuple(rows), tuple(failures), win_tables)
 
 
-def win_table(reports, method, baseline, tol=1e-12):
+def win_table(reports, method, baseline):
     """Per-kind win/loss/tie percentages of `method` against `baseline`.
 
-    A win is a strictly smaller mean error (beyond tol) on the same matrix
+    A win is a strictly smaller mean error (beyond TIE_TOL) on the same matrix
     at the same fraction. Rows are matrix kinds plus a 'total' row; within
     each row one cell per fraction, and wins+losses+ties = 100%.
     """
@@ -304,7 +293,7 @@ def win_table(reports, method, baseline, tol=1e-12):
         if key not in theirs:
             continue
         diff = rep.mean_error - theirs[key].mean_error
-        outcome = 0 if diff < -tol else 1 if diff > tol else 2  # win, loss, tie
+        outcome = 0 if diff < -TIE_TOL else 1 if diff > TIE_TOL else 2  # win, loss, tie
         for cells in (kinds.setdefault(rep.matrix.kind or "unknown", {}), totals):
             cells.setdefault(rep.fraction, [0, 0, 0])[outcome] += 1
 
@@ -363,15 +352,9 @@ def sweep_csv(result):
 
 def sweep_json(result, config):
     """Full JSON report: config, per-cell statistics, failures, win tables."""
+    run_environment = ("output", "cache_dir", "max_workers")
     payload = {
-        "config": {
-            "manifest": config.manifest,
-            "methods": list(config.methods),
-            "fractions": list(config.fractions),
-            "trials": config.trials,
-            "seed": config.seed,
-            "accounting": config.accounting,
-        },
+        "config": {k: v for k, v in asdict(config).items() if k not in run_environment},
         "reports": [asdict(r) for r in result.reports],
         "failures": list(result.failures),
         "win_tables": result.win_tables,
@@ -413,10 +396,7 @@ def run_rank_sweep(A, r_list, fraction=0.05, seed=0, accounting=SPARSE_COO):
     for r in r_list:
         h = hybrid_compress(A, int(r), scalars, derive_seed(seed, "hybrid", int(r)))
         rows.append(("hybrid", int(r), h.error))
-    cur_err, _, cur_rank = compression_error(A, "cur", scalars, derive_seed(seed, "cur"))
-    rows.append(("cur", cur_rank, cur_err))
-    mmf_err, _, mmf_core = compression_error(
-        A, "direct-greedytopn", scalars, derive_seed(seed, "mmf")
-    )
-    rows.append(("mmf", mmf_core, mmf_err))
+    for series, method in (("cur", "cur"), ("mmf", "direct-greedytopn")):
+        err, _, param = compression_error(A, method, scalars, derive_seed(seed, series))
+        rows.append((series, param, err))
     return rows

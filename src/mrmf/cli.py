@@ -20,6 +20,7 @@ from pathlib import Path
 from .bench import (
     BENCH_METHODS,
     DECAY_CORE_SIZE,
+    _items,
     compression_error,
     derive_seed,
     format_win_table,
@@ -35,14 +36,6 @@ from .data import fetch_suitesparse, gen_mixed_matrix, parse_matrix_market
 from .storage import DENSE, SPARSE_COO, StorageBudget
 
 _DEFAULT_CACHE = os.environ.get("MRMF_CACHE_DIR", "cache")
-
-
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def _write(path, text):
@@ -163,7 +156,7 @@ def build_parser():
 
     p = sub.add_parser("decay", help="error of symmetric factorization vs decay rate")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--t-list", type=_float_list, default=[1.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+    p.add_argument("--t-list", type=_items(float), default=[1.0, 2.0, 4.0, 6.0, 8.0, 10.0])
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--core-size", type=int, default=DECAY_CORE_SIZE)
     p.add_argument("--out", required=True)
@@ -172,7 +165,7 @@ def build_parser():
     p = sub.add_parser("rankscan", help="hybrid error per CUR rank plus baselines")
     p.add_argument("--matrix", help="group/name or local .mtx path "
                    "(default: the built-in mixed-spectrum matrix, gen_mixed_matrix())")
-    p.add_argument("--r-list", type=_int_list, required=True)
+    p.add_argument("--r-list", type=_items(int), required=True)
     p.add_argument("--fraction", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--accounting", choices=[SPARSE_COO, DENSE], default=SPARSE_COO)

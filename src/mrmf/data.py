@@ -174,10 +174,10 @@ def write_matrix_market(A):
     return (head + "%d %d %.17g\n" * vals.size % tuple(cells)).encode("ascii")
 
 
-def _default_http_get(url, timeout=60.0):
+def _default_http_get(url):
     import requests
 
-    resp = requests.get(url, timeout=timeout)
+    resp = requests.get(url, timeout=60.0)
     if resp.status_code == 404:
         raise MatrixNotFoundError(f"no such matrix in the collection: {url}")
     resp.raise_for_status()

@@ -263,19 +263,15 @@ def numerical_symmetry(A):
     return float(np.count_nonzero(matched) / rows.size)
 
 
-def check_symmetric(a, tol=1e-12):
-    """Raise unless the dense array a is symmetric to tol (relative, max-norm)."""
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    dev = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if dev > tol * max(scale, 1e-300):
-        raise ValueError(f"matrix is not symmetric (max deviation {dev:.3e})")
+def check_parity(a, skew):
+    """Raise unless the dense array a equals a.T (or -a.T when skew) to 1e-12.
 
-
-def check_skew(a, tol=1e-12):
-    """Raise unless the dense array a is skew-symmetric to tol (relative, max-norm)."""
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale == 0.0:
+    The deviation is relative to a's largest magnitude (max-norm).
+    """
+    if not a.size:
         return
-    dev = np.max(np.abs(a + a.T))
-    if dev > tol * scale:
-        raise ValueError(f"matrix is not skew-symmetric (max deviation {dev:.3e})")
+    dev = np.add(a, a.T) if skew else np.subtract(a, a.T)
+    dev = np.max(np.abs(dev, out=dev))
+    if dev > 1e-12 * np.max(np.abs(a)):
+        kind = "skew-symmetric" if skew else "symmetric"
+        raise ValueError(f"matrix is not {kind} (max deviation {dev:.3e})")

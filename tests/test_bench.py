@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import mrmf.storage
 from mrmf import (
     BudgetError,
     Sparsifier,
@@ -271,6 +272,7 @@ def test_load_sweep_config_defaults(tmp_path):
         ("manifest=m.txt\nbudget=3\n", "unknown config key"),
         ("manifest=m.txt\nmanifest=n.txt\n", "duplicate"),
         ("methods=cur\nfractions=0.5\n", "missing required"),
+        ("manifest=m.txt\nmethods=cur\nfractions=0.1, .10\noutput=o.csv\n", "fractions list rep"),
     ],
 )
 def test_load_sweep_config_errors(tmp_path, body, fragment):
@@ -290,6 +292,8 @@ def test_load_sweep_config_errors(tmp_path, body, fragment):
         ({"fractions": (1.5,)}, "outside"),
         ({"trials": 0}, "trials"),
         ({"max_workers": 0}, "max_workers"),
+        ({"methods": ("cur", "additive", "cur")}, "methods list repeats an entry"),
+        ({"fractions": (0.5, 0.25, 0.5)}, "fractions list repeats an entry"),
     ],
 )
 def test_sweep_config_validation(kwargs, fragment):
@@ -310,6 +314,14 @@ def test_load_manifest(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text("# corpus\nHB/west0479\n\n  Bai/tols1090  \n")
     assert load_manifest(path) == [("HB", "west0479"), ("Bai", "tols1090")]
+
+
+def test_load_manifest_refuses_repeated_matrix(tmp_path):
+    # a repeat reruns the same seeds, and its rows would count as extra trials
+    path = tmp_path / "manifest.txt"
+    path.write_text("Test/tiny\nHB/west0479\n# again\n Test / tiny \n")
+    with pytest.raises(ValueError, match=r"manifest.txt:4: 'Test / tiny' repeats line 1$"):
+        load_manifest(path)
 
 
 def test_load_manifest_requires_group(tmp_path):
@@ -497,6 +509,62 @@ def test_sweep_csv_format(sweep_result):
         assert fields[5] == row["method"]
         assert fields[6] == f"{row['fraction']:g}"
         assert float(fields[12]) == row["error"]
+
+
+def _timeless(text):
+    payload = json.loads(text)
+    for rep in payload["reports"]:
+        rep["wall_time_s"] = 0.0
+    return payload
+
+
+def test_sweep_outputs_do_not_depend_on_worker_count(sweep_env):
+    tmp, _, cache, _ = sweep_env
+    manifest = tmp / "manifest-workers.txt"
+    manifest.write_text("Test/tiny\nMissing/gone\n")
+
+    def not_found(url):
+        raise MatrixNotFoundError("no such matrix")
+
+    methods, fractions = ("hybrid", "additive", "cur"), (0.5, 0.02, 0.25)
+    outputs = []
+    for workers in (1, 2):
+        cfg = _config(tmp, manifest, cache, methods=methods, fractions=fractions,
+                      max_workers=workers)
+        res = run_sweep(cfg, http_get=not_found)
+        outputs.append((sweep_csv(res), _timeless(sweep_json(res, cfg))))
+    assert outputs[0] == outputs[1]
+    # 0.02 is below every method's minimum here: those cells fail and drop
+    # out, and the others keep the methods-then-fractions order
+    reports = outputs[0][1]["reports"]
+    expect = [(m, f) for m in methods for f in (0.5, 0.25)]
+    assert [(r["method"], r["fraction"]) for r in reports] == expect
+    assert all(r["trials"] == 2 for r in reports)
+
+
+def test_sweep_json_config_block(sweep_result):
+    # the recipe only: where the run writes, caches and how many workers
+    # it uses change no result
+    cfg, res = sweep_result
+    assert json.loads(sweep_json(res, cfg))["config"] == {
+        "manifest": cfg.manifest,
+        "methods": ["additive", "cur"],
+        "fractions": [0.25, 0.5],
+        "trials": 2,
+        "seed": 7,
+        "accounting": "sparse-coo",
+    }
+
+
+@pytest.mark.parametrize("method", BENCH_METHODS)
+def test_compression_error_refuses_storage_over_budget(method, monkeypatch):
+    # a storage model that calls every size free makes the solvers pick the
+    # largest one; the stored count is taken from the output, so it overshoots
+    monkeypatch.setattr(mrmf.storage, "predicted_storage", lambda n, method, d: 0)
+    A = _random_square(12, 3)
+    message = rf"^{method} stored \d+ scalars over its budget of 100$"
+    with pytest.raises(RuntimeError, match=message):
+        compression_error(A, method, 100, 7)
 
 
 def test_sweep_json_report(sweep_result):

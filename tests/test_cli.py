@@ -302,13 +302,42 @@ def test_sweep_with_corrupt_cache_entry_writes_outputs_and_exits_1(cli_env, caps
     assert [(f["matrix"], f["stage"]) for f in report["failures"]] == [("Bad/junk", "load")]
 
 
-def test_sweep_bad_config_is_usage_error(cli_env, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("manifest=m.txt\nbudget=3\n", "unknown config key"),
+        ("manifest=m.txt\nmethods=cur,cur\nfractions=0.5\noutput=o.csv\n", "repeats an entry"),
+    ],
+)
+def test_sweep_bad_config_is_usage_error(cli_env, capsys, tmp_path, body, fragment):
     config = tmp_path / "bad.cfg"
-    config.write_text("manifest=m.txt\nbudget=3\n")
+    config.write_text(body)
     rc = main(["sweep", "--config", str(config)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "unknown config key" in captured.err
+    assert fragment in captured.err
+
+
+@pytest.mark.parametrize("command", ["fetch", "sweep"])
+def test_repeated_manifest_line_is_usage_error(cli_env, capsys, tmp_path, command):
+    _, cache, _, _ = cli_env
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("Test/tiny\nTest/tiny\n")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        f"manifest = {manifest}\nmethods = cur\nfractions = 0.25\n"
+        f"output = {tmp_path / 'sweep.csv'}\ncache_dir = {cache}\n"
+    )
+    argv = {
+        "fetch": ["fetch", str(manifest), "--cache-dir", str(cache)],
+        "sweep": ["sweep", "--config", str(config)],
+    }[command]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"{manifest}:2: 'Test/tiny' repeats line 1" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_every_export_resolves_and_star_import_works():

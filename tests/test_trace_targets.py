@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mrmf
-from mrmf import SquareMatrix, bench
+from mrmf import SquareMatrix, bench, write_matrix_market
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +42,35 @@ def test_traced_runs_match_untraced(tracing):
     names = {span.name for span in tracer.spans}
     assert {"bench.compression_error", "storage.solve", "cur.decompose"} <= names
     assert len([s for s in tracer.spans if s.name == "bench.compression_error"]) == len(want)
+
+
+def test_traced_sweep_keeps_every_span(tracing, tmp_path):
+    # items on the sweep's pool threads open their own root spans; none may
+    # go missing or end outside its parent
+    rng = np.random.default_rng(6)
+    (tmp_path / "cache" / "T").mkdir(parents=True)
+    for name in ("a", "b"):
+        A = SquareMatrix.from_dense(rng.standard_normal((20, 20)))
+        (tmp_path / "cache" / "T" / f"{name}.mtx").write_bytes(write_matrix_market(A))
+    (tmp_path / "manifest.txt").write_text("T/a\nT/b\n")
+    config = bench.SweepConfig(
+        manifest=str(tmp_path / "manifest.txt"), methods=("cur", "direct-topn", "additive"),
+        fractions=(0.5,), trials=2, seed=3, output=str(tmp_path / "sweep.csv"),
+        cache_dir=str(tmp_path / "cache"), max_workers=2,
+    )
+
+    def no_net(url):
+        raise AssertionError(f"sweep tried the network: {url}")
+
+    def timeless(result):
+        return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in result.rows]
+
+    want = bench.run_sweep(config, http_get=no_net)
+    tracer = tracing.Tracer(mrmf)
+    with tracer.installed():
+        got = bench.run_sweep(config, http_get=no_net)
+    assert got.failures == want.failures == ()
+    assert timeless(got) == timeless(want)
+    assert tracer.check({"bench.run", "bench.load", "bench.compression_error"}) == []
+    runs = [s for s in tracer.spans if s.name == "bench.compression_error"]
+    assert len(runs) == len(want.rows) == 12
