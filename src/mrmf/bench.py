@@ -114,6 +114,11 @@ def derive_seed(base_seed, *parts):
     return zlib.crc32(key.encode("ascii"))
 
 
+def run_seed(base_seed, meta, method, fraction, trial):
+    """Seed of one sweep run, keyed by the matrix's group/name, never its path."""
+    return derive_seed(base_seed, f"{meta.group}/{meta.name}", method, repr(fraction), trial)
+
+
 def _lines(path):
     """(line number, stripped text) of each line that is not blank or a #-comment."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -177,27 +182,30 @@ def compression_error(A, method, scalars, seed):
     or the skew half's when the symmetric half is empty (a purely skew
     input). Storage is verified against the budget.
     """
-    if method in ("cur", "hybrid"):
-        # hybrid's default rank policy: the rank a stored CUR could afford;
-        # rank sweeps explore past it, where the hybrid earns its keep
+    if method == "cur":
         param = solve_core_size(A, "cur", scalars)
-        if method == "cur":
-            f = cur_decompose(A, param, seed)
-            err, storage = cur_relative_error(A, f), f.storage_scalars
-        else:
-            h = hybrid_compress(A, param, scalars, seed)
-            err, storage = h.error, h.storage_scalars
-    elif method == "additive":
-        F = factor_additive(A, scalars, seed)
-        err = frobenius_relative_error(A, reconstruct_additive(F))
-        storage, param = F.storage_scalars, len(F.sym.core_rows) or len(F.skew.core_rows)
-    elif method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
-        param = solve_core_size(A, method, scalars)
-        kind = method.partition("-")[2]
-        F = factor_direct(A, param, Sparsifier(kind), seed)
-        err, storage = frobenius_relative_error(A, reconstruct(F)), F.storage_scalars
+        F = cur_decompose(A, param, seed)
+        err = cur_relative_error(A, F)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        if method == "additive":
+            F = factor_additive(A, scalars, seed)
+            approx = reconstruct_additive(F)
+            param = len(F.sym.core_rows) or len(F.skew.core_rows)
+        elif method == "hybrid":
+            # solved first so a budget below hybrid's minimum names hybrid;
+            # the rank is what a stored CUR affords (rank sweeps go past it)
+            solve_core_size(A, "hybrid", scalars)
+            param = solve_core_size(A, "cur", scalars)
+            F = hybrid_compress(A, param, scalars, seed)
+            approx = reconstruct(F)
+        elif method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
+            param = solve_core_size(A, method, scalars)
+            F = factor_direct(A, param, Sparsifier(method.partition("-")[2]), seed)
+            approx = reconstruct(F)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        err = frobenius_relative_error(A, approx)
+    storage = F.storage_scalars
     if storage > scalars:
         raise RuntimeError(f"{method} stored {storage} scalars over its budget of {scalars}")
     return err, storage, param
@@ -235,7 +243,7 @@ def run_sweep(config, http_get=None, log=None):
             for method, fraction in product(config.methods, config.fractions):
                 scalars = StorageBudget(fraction, config.accounting).scalars(A)
                 for trial in range(config.trials):
-                    seed = derive_seed(config.seed, label, method, repr(fraction), trial)
+                    seed = run_seed(config.seed, meta, method, fraction, trial)
                     row = {
                         "group": meta.group, "name": meta.name, "kind": meta.kind,
                         "n": meta.n, "nnz": meta.nnz, "method": method,
@@ -394,8 +402,8 @@ def run_rank_sweep(A, r_list, fraction=0.05, seed=0, accounting=SPARSE_COO):
     scalars = StorageBudget(fraction, accounting).scalars(A)
     rows = []
     for r in r_list:
-        h = hybrid_compress(A, int(r), scalars, derive_seed(seed, "hybrid", int(r)))
-        rows.append(("hybrid", int(r), h.error))
+        F = hybrid_compress(A, int(r), scalars, derive_seed(seed, "hybrid", int(r)))
+        rows.append(("hybrid", int(r), frobenius_relative_error(A, reconstruct(F))))
     for series, method in (("cur", "cur"), ("mmf", "direct-greedytopn")):
         err, _, param = compression_error(A, method, scalars, derive_seed(seed, series))
         rows.append((series, param, err))

@@ -22,12 +22,12 @@ from .bench import (
     DECAY_CORE_SIZE,
     _items,
     compression_error,
-    derive_seed,
     format_win_table,
     load_manifest,
     load_sweep_config,
     run_decay_sweep,
     run_rank_sweep,
+    run_seed,
     run_sweep,
     sweep_csv,
     sweep_json,
@@ -116,9 +116,8 @@ def _cmd_rankscan(args):
 
 def _cmd_factor(args):
     A, meta = _load_matrix(args.matrix, args.cache_dir)
-    budget = StorageBudget(args.fraction, args.accounting)
-    scalars = budget.scalars(A)
-    seed = derive_seed(args.seed, args.matrix, args.method, repr(args.fraction))
+    scalars = StorageBudget(args.fraction, args.accounting).scalars(A)
+    seed = run_seed(args.seed, meta, args.method, args.fraction, 0)  # a sweep's trial 0
     err, storage, param = compression_error(A, args.method, scalars, seed)
     report = {
         "matrix": {"source": args.matrix, **asdict(meta)},

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cores import GREEDY_TOP_N, Sparsifier
-from .direct import Factorization, factor_direct, reconstruct
+from .direct import factor_direct
 from .matrices import IndexSet, SquareMatrix, frobenius_relative_error
 from .storage import solve_core_size
 
@@ -109,29 +109,7 @@ def reconstruct_cur(f):
 
 def cur_relative_error(A, f):
     """Relative Frobenius residual of the CUR approximant against A."""
-    a = A.to_dense()
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
-        raise ValueError("relative error undefined for a zero matrix")
-    return float(np.linalg.norm(a - f.C @ (f.U @ f.R)) / norm_a)
-
-
-@dataclass(frozen=True)
-class HybridResult:
-    """Outcome of compress-to-rank-r-then-factor: only `factor` is stored."""
-
-    r: int
-    k: int
-    factor: Factorization
-    error: float
-
-    def __post_init__(self):
-        if not self.error >= 0.0:
-            raise ValueError("error must be nonnegative")
-
-    @property
-    def storage_scalars(self):
-        return self.factor.storage_scalars
+    return frobenius_relative_error(A, SquareMatrix.from_dense(f.C @ (f.U @ f.R)))
 
 
 def hybrid_compress(A, r, k, seed):
@@ -139,13 +117,10 @@ def hybrid_compress(A, r, k, seed):
 
     k is the scalar count the kept factorization may store (convert a
     fraction with StorageBudget.scalars(A)). The CUR factors are intermediate
-    (recomputable from the seed) and do not count toward k. Error is the
-    relative Frobenius residual of the final reconstruction against A.
+    (recomputable from the seed) and do not count toward k. Returns the
+    stored Factorization of M; measure its reconstruction against A, not M.
     """
+    d = solve_core_size(A, "hybrid", k)
     cur_seed, mmf_seed = np.random.SeedSequence(seed).spawn(2)
-    f = cur_decompose(A, r, cur_seed)
-    M = reconstruct_cur(f)
-    d = solve_core_size(M, "direct-greedytopn", k)
-    factor = factor_direct(M, d, Sparsifier(GREEDY_TOP_N), mmf_seed)
-    err = frobenius_relative_error(A, reconstruct(factor))
-    return HybridResult(int(r), int(k), factor, err)
+    M = reconstruct_cur(cur_decompose(A, r, cur_seed))
+    return factor_direct(M, d, Sparsifier(GREEDY_TOP_N), mmf_seed)

@@ -79,7 +79,7 @@ class SquareMatrix:
 
     @property
     def is_sparse(self):
-        """COO storage; a cached dense view from to_dense() does not change it."""
+        """COO storage; the form is fixed at construction, whatever is called later."""
         return self._rows is not None
 
     @property
@@ -89,13 +89,13 @@ class SquareMatrix:
         return int(np.count_nonzero(self._dense))
 
     def to_dense(self):
-        """Read-only dense view (materialized once for sparse storage)."""
-        if self._dense is None:
-            arr = np.zeros((self.n, self.n))
-            arr[self._rows, self._cols] = self._vals
-            arr.flags.writeable = False
-            self._dense = arr
-        return self._dense
+        """Read-only dense array: the stored one, or a fresh one per call for COO."""
+        if not self.is_sparse:
+            return self._dense
+        arr = np.zeros((self.n, self.n))
+        arr[self._rows, self._cols] = self._vals
+        arr.flags.writeable = False
+        return arr
 
     def to_coo(self):
         """(rows, cols, values) sorted row-major, explicit zeros dropped."""

@@ -13,6 +13,7 @@ import pytest
 import mrmf.storage
 from mrmf import (
     BudgetError,
+    Factorization,
     Sparsifier,
     SquareMatrix,
     StorageBudget,
@@ -620,12 +621,30 @@ def test_hybrid_at_full_rank_matches_direct_run():
     # lossless CUR stage: the pipeline reduces to the direct method alone
     A = _random_square(20, 3)
     scalars = 180
-    h = hybrid_compress(A, 20, scalars, 123)
+    H = hybrid_compress(A, 20, scalars, 123)
     mmf_seed = np.random.SeedSequence(123).spawn(2)[1]
     d = solve_core_size(A, "direct-greedytopn", scalars)
     F = factor_direct(A, d, Sparsifier("greedytopn"), mmf_seed)
     err = frobenius_relative_error(A, reconstruct(F))
-    assert abs(h.error - err) <= 1e-9
+    assert abs(frobenius_relative_error(A, reconstruct(H)) - err) <= 1e-9
+
+
+def test_hybrid_is_measured_against_a_at_the_cur_rank():
+    # compression_error scores the stored factorization of M = CUR against A
+    A = _random_square(20, 3)
+    scalars = 180
+    err, storage, param = compression_error(A, "hybrid", scalars, 9)
+    assert param == solve_core_size(A, "cur", scalars)
+    F = hybrid_compress(A, param, scalars, 9)
+    assert isinstance(F, Factorization)
+    assert (err, storage) == (frobenius_relative_error(A, reconstruct(F)), F.storage_scalars)
+
+
+def test_hybrid_budget_error_names_hybrid():
+    A = _random_square(20, 3)
+    assert minimum_storage(20, "cur") == 43 < 100 < minimum_storage(20, "hybrid") == 168
+    with pytest.raises(BudgetError, match="minimum footprint of hybrid at n=20"):
+        hybrid_compress(A, 3, 100, 0)
 
 
 def test_additive_param_is_the_core_size_of_a_stored_half():

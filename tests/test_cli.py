@@ -18,7 +18,9 @@ import mrmf
 import mrmf.data
 from mrmf import SquareMatrix, gen_mixed_matrix, parse_matrix_market, write_matrix_market
 from mrmf.bench import (
+    BENCH_METHODS,
     RUN_CSV_HEADER,
+    SweepConfig,
     compression_error,
     derive_seed,
     load_sweep_config,
@@ -30,7 +32,7 @@ from mrmf.bench import (
 )
 from mrmf.cli import main
 from mrmf.data import MatrixNotFoundError
-from mrmf.storage import StorageBudget
+from mrmf.storage import StorageBudget, minimum_storage
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ def test_factor_local_mtx_with_report(cli_env, capsys):
     # the report is a pure function of (matrix, method, fraction, seed)
     A, _ = parse_matrix_market(mtx.read_bytes())
     scalars = StorageBudget(0.3).scalars(A)
-    seed = derive_seed(0, str(mtx), "direct-greedytopn", repr(0.3))
+    seed = derive_seed(0, "/", "direct-greedytopn", repr(0.3), 0)
     err, storage, param = compression_error(A, "direct-greedytopn", scalars, seed)
     assert report["error"] == err
     assert report["storage_scalars"] == storage
@@ -117,6 +119,66 @@ def test_factor_from_cache_by_name(cli_env, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("cur @ 0.25: error=")
+
+
+def test_factor_seeds_by_matrix_identity_not_path(tmp_path, capsys):
+    # one file at two paths is one matrix: one seed, one report
+    m = np.random.default_rng(2).standard_normal((24, 24))
+    text = write_matrix_market(SquareMatrix.from_dense(m))
+    reports = []
+    for sub in ("a", "b/c"):
+        mtx = tmp_path / sub / "copy.mtx"
+        mtx.parent.mkdir(parents=True)
+        mtx.write_bytes(text)
+        out = tmp_path / sub / "report.json"
+        rc = main([
+            "factor", "--matrix", str(mtx), "--method", "additive",
+            "--fraction", "0.3", "--out", str(out),
+        ])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["matrix"].pop("source") == str(mtx)
+        reports.append(report)
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("method", BENCH_METHODS)
+def test_factor_by_name_repeats_the_sweeps_first_trial(cli_env, capsys, tmp_path, method):
+    _, cache, manifest, _ = cli_env
+    config = SweepConfig(
+        manifest=str(manifest), methods=(method,), fractions=(0.3,), trials=2, seed=4,
+        output=str(tmp_path / "sweep.csv"), cache_dir=str(cache), max_workers=1,
+    )
+    (row,) = [r for r in run_sweep(config).rows if r["trial"] == 0]
+    out = tmp_path / "report.json"
+    rc = main([
+        "factor", "--matrix", "Test/tiny", "--method", method, "--fraction", "0.3",
+        "--seed", "4", "--cache-dir", str(cache), "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["budget_scalars"] == row["budget"]
+    assert report["error"] == row["error"]
+    assert report["storage_scalars"] == row["storage"]
+    assert report["size_param"] == row["param"]
+
+
+@pytest.mark.parametrize("fraction, scalars", [(0.1, 26), (0.3, 77)])
+def test_hybrid_budget_too_small_names_hybrid(cli_env, capsys, fraction, scalars):
+    # 26 scalars is below CUR's minimum at n=16, 77 between it and hybrid's
+    _, _, _, mtx = cli_env
+    assert minimum_storage(16, "cur") == 35 and minimum_storage(16, "hybrid") == 132
+    rc = main([
+        "factor", "--matrix", str(mtx), "--method", "hybrid",
+        "--fraction", str(fraction), "--accounting", "dense",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        f"error: budget of {scalars} scalars is below the minimum footprint of hybrid at n=16\n"
+    )
 
 
 def test_factor_missing_file_is_usage_error(cli_env, capsys):

@@ -11,6 +11,7 @@ from mrmf import (
     frobenius_relative_error,
     gen_low_rank,
     hybrid_compress,
+    reconstruct,
     reconstruct_cur,
 )
 
@@ -131,17 +132,17 @@ def test_error_never_negative():
 
 def test_hybrid_full_rank_full_budget_lossless():
     A = random_general(10, seed=21)
-    out = hybrid_compress(A, 10, 10 * 10 * 10, seed=0)
-    assert out.error <= 1e-9
-    assert out.r == 10
+    F = hybrid_compress(A, 10, 10 * 10 * 10, seed=0)
+    assert frobenius_relative_error(A, reconstruct(F)) <= 1e-9
 
 
 def test_hybrid_full_budget_matches_cur_error():
     A = random_general(12, seed=23)
     for r in (3, 6):
-        out = hybrid_compress(A, r, 12 * 12 * 10, seed=4)
+        F = hybrid_compress(A, r, 12 * 12 * 10, seed=4)
         f = cur_decompose(A, r, seed=_first_spawn(4))
-        assert abs(out.error - cur_relative_error(A, f)) <= 1e-10
+        err = frobenius_relative_error(A, reconstruct(F))
+        assert abs(err - cur_relative_error(A, f)) <= 1e-10
 
 
 def _first_spawn(seed):
@@ -150,7 +151,6 @@ def _first_spawn(seed):
 
 def test_hybrid_error_nonnegative_and_k_respected():
     A = random_general(16, seed=25)
-    out = hybrid_compress(A, 5, 140, seed=1)
-    assert out.error >= 0.0
-    assert out.factor.storage_scalars <= 140
-    assert out.k == 140
+    F = hybrid_compress(A, 5, 140, seed=1)
+    assert frobenius_relative_error(A, reconstruct(F)) >= 0.0
+    assert F.storage_scalars <= 140

@@ -129,8 +129,8 @@ def test_split_coo_without_entries():
 
 
 def test_coo_stays_sparse_after_densify():
-    # to_dense() caches a dense view; the storage form, and with it the
-    # split branch, must not depend on whether anything densified A first
+    # to_dense() builds a fresh array for COO storage; the storage form, and with
+    # it the split branch, must not depend on whether anything densified A first
     A = SquareMatrix.from_coo(5, [0, 1, 4], [3, 0, 4], [2.0, -1.0, 6.0])
     A.to_dense()
     assert A.is_sparse

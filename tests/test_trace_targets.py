@@ -15,16 +15,25 @@ import pytest
 import mrmf
 from mrmf import SquareMatrix, bench, write_matrix_market
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_target_exists(tracing):
@@ -74,3 +83,26 @@ def test_traced_sweep_keeps_every_span(tracing, tmp_path):
     assert tracer.check({"bench.run", "bench.load", "bench.compression_error"}) == []
     runs = [s for s in tracer.spans if s.name == "bench.compression_error"]
     assert len(runs) == len(want.rows) == 12
+
+
+def test_parsed_coo_runs_fire_the_workload_spans(tracing, workloads):
+    # the span sets perfbench --trace 1 requires of sweep-n2000 (its two
+    # methods) and suite-sparse (all six): a refactor that stops, say,
+    # jacobi.reconstruct or matrices.error from firing fails here too
+    rng = np.random.default_rng(8)
+    text = workloads.mtx_text(24, *workloads.random_coo(rng, 24, 6 * 24))
+
+    def run_all(methods):
+        A, _ = mrmf.parse_matrix_market(text)
+        assert A.is_sparse
+        return {m: bench.compression_error(A, m, 360, 7) for m in methods}
+
+    cur_spans = {"cur.decompose", "cur.error"}
+    for methods, spans in ((workloads.SWEEP_METHODS, workloads.SWEEP_SPANS),
+                           (bench.BENCH_METHODS, workloads.SWEEP_SPANS | cur_spans)):
+        want = run_all(methods)
+        tracer = tracing.Tracer(mrmf)
+        with tracer.installed():
+            got = run_all(methods)
+        assert got == want
+        assert tracer.check(spans) == []
