@@ -17,7 +17,7 @@ import numpy as np
 
 from .cores import TOP_N, CoreSparse, Sparsifier, sparsify
 from .jacobi import conjugation_sweep, two_basis_reconstruct, two_basis_sweep, unpermute
-from .matrices import IndexSet, SquareMatrix
+from .matrices import IndexSet, SquareMatrix, check_parity
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,22 @@ class Factorization:
         return 3 * (len(self.left) + len(self.right)) + self.H.storage_scalars(idx)
 
 
-def sweep_and_truncate(A, core_size, seed, conjugate, truncate):
+def sweep_and_truncate(A, core_size, seed, parity, truncate):
     """Sweep A down to core_size active indices, then truncate the rotated matrix.
 
-    conjugate selects conjugation_sweep over two_basis_sweep. truncate(h,
-    rows, cols) turns the unpermuted rotated matrix and the surviving core
-    sets into the stored CoreSparse; None keeps every entry (topn with
-    m = n * n), the lossless form.
+    parity None runs two_basis_sweep. False (symmetric) or True (skew) runs
+    conjugation_sweep after check_parity has passed on the working copy, so
+    a wrong-parity input raises before any level. truncate(h, rows, cols)
+    turns the unpermuted rotated matrix and the surviving core sets into the
+    stored CoreSparse; None keeps every entry (topn with m = n * n), the
+    lossless form.
     """
     n = A.n
     a = np.array(A.to_dense(), dtype=np.float64)
     rng = np.random.default_rng(seed)
+    conjugate = parity is not None
     if conjugate:
+        check_parity(a, skew=parity)
         left, row_perm, row_ret = conjugation_sweep(a, core_size, rng)
         right, col_perm, col_ret = left, row_perm, row_ret
     else:
@@ -95,7 +99,7 @@ def factor_direct(A, core_size, sparsifier, seed, truncate=True):
     def rule(h, rows, cols):
         return sparsify(h, rows, cols, sparsifier)
 
-    return sweep_and_truncate(A, core_size, seed, conjugate=False,
+    return sweep_and_truncate(A, core_size, seed, parity=None,
                               truncate=rule if truncate else None)
 
 

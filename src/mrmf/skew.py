@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .cores import murnaghan_sparsify
 from .direct import sweep_and_truncate
-from .matrices import check_parity
 
 
 def _pairs(h, rows, cols):
@@ -31,6 +30,5 @@ def factor_skew(K, core_size, seed, truncate=True):
     """
     if not 0 <= core_size <= K.n:
         raise ValueError(f"core_size must be in [0, {K.n}]")
-    check_parity(K.to_dense(), skew=True)
     rule = _pairs if truncate else None
-    return sweep_and_truncate(K, core_size, seed, conjugate=True, truncate=rule)
+    return sweep_and_truncate(K, core_size, seed, parity=True, truncate=rule)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .cores import CORE_DIAGONAL, Sparsifier, sparsify
 from .direct import sweep_and_truncate
-from .matrices import check_parity
 
 
 def _corediag(h, rows, cols):
@@ -28,6 +27,5 @@ def factor_symmetric(A, core_size, seed, truncate=True):
     """
     if not 1 <= core_size <= A.n:
         raise ValueError(f"core_size must be in [1, {A.n}]")
-    check_parity(A.to_dense(), skew=False)
     rule = _corediag if truncate else None
-    return sweep_and_truncate(A, core_size, seed, conjugate=True, truncate=rule)
+    return sweep_and_truncate(A, core_size, seed, parity=False, truncate=rule)

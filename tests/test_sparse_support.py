@@ -1,0 +1,154 @@
+"""The level kernel's sparse-support product against the full product.
+
+Above the kernel's row floor, a level whose pivot row is sparse scores its
+partners on that row's nonzero columns only. Zero terms add nothing, so
+every pair, retirement and permutation must match the full product; only
+the summation order of the nonzero terms changes, which moves the rotated
+matrix and the angles by round-off.
+"""
+
+import numpy as np
+import pytest
+
+import mrmf
+from mrmf import jacobi
+from mrmf.additive import factor_additive, reconstruct_additive
+from mrmf.bench import compression_error
+from mrmf.cores import Sparsifier
+from mrmf.direct import factor_direct, reconstruct
+from mrmf.matrices import SquareMatrix, frobenius_relative_error
+from mrmf.skew import factor_skew
+from mrmf.storage import DENSE, StorageBudget, solve_core_size
+from mrmf.symmetric import factor_symmetric
+from test_kernels import INPUTS
+
+
+def _count_supports(monkeypatch):
+    """Wrap the kernel's support choice; the list counts levels that gathered."""
+    gathered = []
+    choose = jacobi._pivot_support
+
+    def counting(x, rows):
+        nz = choose(x, rows)
+        if nz is not None:
+            gathered.append(nz.size)
+        return nz
+
+    monkeypatch.setattr(jacobi, "_pivot_support", counting)
+    return gathered
+
+
+def _sweep(a, d, conjugate):
+    """(working matrix, rotations per side, perms, retired labels) of one sweep."""
+    a = a.copy()
+    rng = np.random.default_rng(d)
+    if conjugate:
+        rotations, perm, retired = jacobi.conjugation_sweep(a, d, rng)
+        return a, [rotations], [perm], [retired]
+    left, right, row_perm, col_perm, row_ret, col_ret = jacobi.two_basis_sweep(a, d, rng)
+    return a, [left, right], [row_perm, col_perm], [row_ret, col_ret]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("half", ("general", "symmetric", "skew"))
+def test_forced_support_product_matches_full_product(name, half, monkeypatch):
+    a = INPUTS[name]()
+    a = {"general": a, "symmetric": (a + a.T) * 0.5, "skew": (a - a.T) * 0.5}[half]
+    n, conjugate = a.shape[0], half != "general"
+    for d in (1, n // 10, n - 1):
+        with monkeypatch.context() as patch:
+            gathered = _count_supports(patch)
+            want = _sweep(a, d, conjugate)
+            assert gathered == []  # n < floor: the full product
+            # a ratio low enough that these n <= 300 inputs gather; at 1, a
+            # level of spread64's skew half gathers on a Gram block that is
+            # a multiple of the identity up to round-off, where the angle
+            # may jump between 0 and pi/4 (both diagonalize it)
+            patch.setattr(jacobi, "_SUPPORT_FLOOR", 0)
+            patch.setattr(jacobi, "_SUPPORT_RATIO", 8)
+            got = _sweep(a, d, conjugate)
+        if d == 1:
+            assert gathered  # the sparse inputs gather on their early levels
+        for g, w in zip(got[1], want[1]):
+            assert [(r.i, r.j) for r in g] == [(r.i, r.j) for r in w]
+            assert np.allclose([r.theta for r in g], [r.theta for r in w], rtol=0, atol=1e-10)
+        for g, w in zip(got[2], want[2]):
+            assert np.array_equal(g, w)
+        assert got[3] == want[3]
+        assert np.linalg.norm(got[0] - want[0]) <= 1e-12 * np.linalg.norm(want[0])
+
+
+def _parsed(n, seed, per_row=6):
+    """A parsed Matrix Market input (COO storage) with per_row entries a row."""
+    rng = np.random.default_rng(seed)
+    codes = np.unique(rng.integers(0, n * n, size=per_row * n))
+    vals = rng.standard_normal(codes.size) * (1 + 9 * (rng.random(codes.size) < 0.15))
+    A = SquareMatrix.from_coo(n, codes // n, codes % n, vals)
+    parsed, _ = mrmf.parse_matrix_market(mrmf.write_matrix_market(A))
+    assert parsed.is_sparse
+    return parsed
+
+
+@pytest.fixture(scope="module")
+def above_floor():
+    A = _parsed(700, 21)
+    assert A.n > jacobi._SUPPORT_FLOOR
+    return A, StorageBudget(0.02, DENSE).scalars(A)
+
+
+def _direct_and_additive(A, scalars):
+    d = solve_core_size(A, "direct-greedytopn", scalars)
+    F = factor_direct(A, d, Sparsifier("greedytopn"), seed=5)
+    G = factor_additive(A, scalars, seed=5)
+    errors = (frobenius_relative_error(A, reconstruct(F)),
+              frobenius_relative_error(A, reconstruct_additive(G)))
+    retired = (F.row_retired, F.col_retired, G.sym.row_retired, G.skew.row_retired)
+    return errors, retired
+
+
+def test_support_product_runs_above_the_floor(above_floor, monkeypatch):
+    A, scalars = above_floor
+    gathered = _count_supports(monkeypatch)
+    got_errors, got_retired = _direct_and_additive(A, scalars)
+    # a refactor that stops the sparse-support product from running fails
+    # here: both sweeps gather on their early levels of this input
+    assert len(gathered) > A.n - jacobi._SUPPORT_FLOOR
+    gathered.clear()
+    monkeypatch.setattr(jacobi, "_SUPPORT_FLOOR", A.n)
+    want_errors, want_retired = _direct_and_additive(A, scalars)
+    assert gathered == []
+    assert got_retired == want_retired
+    for got, want in zip(got_errors, want_errors):
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("method, densified", (("additive", 3), ("direct-greedytopn", 2)))
+def test_coo_input_is_densified_once_per_sweep(method, densified, monkeypatch):
+    # one dense working copy per sweep (two halves for additive), plus the
+    # error against A; the parity check reads the sweep's working copy
+    A = _parsed(600, 22)
+    calls = []
+    to_dense = SquareMatrix.to_dense
+
+    def counting(self):
+        if self.is_sparse:
+            calls.append(self.n)
+        return to_dense(self)
+
+    monkeypatch.setattr(SquareMatrix, "to_dense", counting)
+    compression_error(A, method, StorageBudget(0.02, DENSE).scalars(A), 3)
+    assert len(calls) == densified
+
+
+@pytest.mark.parametrize("factor, wrong", ((factor_symmetric, "skew"), (factor_skew, "symmetric")))
+def test_wrong_parity_raises_before_any_level(factor, wrong, monkeypatch):
+    a = INPUTS["spread64"]()
+    a = (a - a.T) * 0.5 if wrong == "skew" else (a + a.T) * 0.5
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level ran on a wrong-parity input")
+
+    monkeypatch.setattr(jacobi, "_level", no_level)
+    kind = "symmetric" if factor is factor_symmetric else "skew-symmetric"
+    with pytest.raises(ValueError, match=f"matrix is not {kind}"):
+        factor(SquareMatrix.from_dense(a), 4, seed=0)
