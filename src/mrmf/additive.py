@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cores import CoreSparse
-from .direct import Factorization, reconstruct
+from .direct import Factorization
+from .jacobi import two_basis_reconstruct
 from .matrices import IndexSet, SquareMatrix, split_symmetric_skew
 from .skew import factor_skew
 from .storage import BudgetError, minimum_storage, solve_core_size
@@ -82,6 +83,6 @@ def factor_additive(A, budget, seed):
 
 def reconstruct_additive(F):
     """Sum of the two half reconstructions."""
-    return SquareMatrix.from_dense(
-        reconstruct(F.sym).to_dense() + reconstruct(F.skew).to_dense()
-    )
+    sym, skew = (two_basis_reconstruct(half.H.to_dense(), half.left, half.right)
+                 for half in (F.sym, F.skew))
+    return SquareMatrix.from_dense(sym + skew)

@@ -65,12 +65,16 @@ def sweep_and_truncate(A, core_size, seed, parity, truncate):
     lossless form.
     """
     n = A.n
-    a = np.array(A.to_dense(), dtype=np.float64)
+    a = A.to_dense()
+    if A.is_sparse:  # a fresh array no one else holds: sweep it in place
+        a.flags.writeable = True
+    else:
+        a = a.copy()
     rng = np.random.default_rng(seed)
     conjugate = parity is not None
     if conjugate:
         check_parity(a, skew=parity)
-        left, row_perm, row_ret = conjugation_sweep(a, core_size, rng)
+        left, row_perm, row_ret = conjugation_sweep(a, core_size, rng, parity=parity)
         right, col_perm, col_ret = left, row_perm, row_ret
     else:
         left, right, row_perm, col_perm, row_ret, col_ret = two_basis_sweep(a, core_size, rng)

@@ -9,17 +9,25 @@ always carry original labels.
 While the active block has more than _SUPPORT_FLOOR rows, a level whose
 pivot row has fewer than cols / _SUPPORT_RATIO nonzeros scores partners on
 that row's support only, gathering those columns instead of reading the
-whole block. Zero terms add nothing, so the scores are the full product's up
-to the summation order of the nonzero terms, and rows with disjoint support
-still score exactly 0. Smaller blocks always run the full product.
+whole block. Under conjugation the active block is symmetric (or skew) up
+to round-off, so those columns are read as the contiguous rows a[nz, :rows]
+(negated for a skew half) instead of strided. Zero terms add nothing, so the
+scores are the full product's up to the summation order of the nonzero
+terms, and rows with disjoint support still score exactly 0. Smaller blocks
+always run the full product.
 
 Both sweeps run one row-level kernel. On the transposed view ``a.T`` a row
 rotation or swap is the column rotation or swap of ``a``, with the same
 elementwise arithmetic, so the direct column phase is the kernel on ``a.T``
 and conjugation is the kernel that also applies each row step to ``a.T``.
-Each sweep draws all its pivots with one ``rng.integers(highs)`` call, the
-same stream as one scalar draw per level, so a sweep to a smaller core size
-repeats the levels of a shallower one and continues.
+Those column steps read strided memory, so a level applies them to the
+active rows only and records them; the retired rows, which no later level
+reads or writes, get them at the end of the sweep in one blocked pass
+(_replay_tail), in level order and with the same arithmetic, so the
+deferral changes no bit of the result. Each sweep draws all its pivots with
+one ``rng.integers(highs)`` call, the same stream as one scalar draw per
+level, so a sweep to a smaller core size repeats the levels of a shallower
+one and continues.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ from .matrices import GivensRotation, givens_from_gram2
 # phase's contiguous gather is cheaper still
 _SUPPORT_FLOOR = 512
 _SUPPORT_RATIO = 48
+# rows of the retired tail replayed per block: the transposed block copy
+# holds at most n x _REPLAY_ROWS doubles
+_REPLAY_ROWS = 512
 
 
 def _argmax_by_label(scores, labels):
@@ -67,24 +78,59 @@ def _pivot_support(x, rows):
     return nz if _SUPPORT_RATIO * nz.size < x.size else None
 
 
-def _level(a, rows, cols, ip, labels, conjugate=False):
+def _row_gather(x, nz, a, rows, skew):
+    """a[:rows, nz] @ x[nz] read as the contiguous rows a[nz, :rows] of a
+    symmetric (skew: negated) active block."""
+    sims = x[nz] @ a[nz, :rows]
+    if skew:
+        np.negative(sims, out=sims)
+    return sims
+
+
+def _rotate(p, q, c, s):
+    """(p, q) <- (c p + s q, -s p + c q) in place; q is updated as c q - s p,
+    which rounds exactly as -s p + c q does."""
+    rotated = c * p + s * q
+    q *= c
+    q -= s * p
+    p[...] = rotated
+
+
+def _swap(m, tp, last):
+    row = m[tp].copy()
+    m[tp] = m[last]
+    m[last] = row
+
+
+def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     """One greedy level on the leading rows x cols block of a.
 
     Pairs row ip with its most similar active row (ties go to the smaller
     label), rotates the pair to diagonalize their 2x2 Gram block, then
     retires the member with the smaller active-row mass (ties again to the
     smaller label) by swapping it, and its label, to position rows - 1.
-    With conjugate, the columns (the rows of ``a.T``) get the same rotation
-    and swap, and the retirement mass leaves out the diagonal entry.
+    With parity False (symmetric) or True (skew) the level conjugates: the
+    columns (the rows of ``a.T``) get the same rotation and swap, and the
+    retirement mass leaves out the diagonal entry.
 
     The similarities are a[:rows, :cols] @ x for the pivot row x, or the
     product over x's support columns when _pivot_support returns them.
+
+    With a tail list, the side whose rows are strided in memory (``a``
+    itself when parity is None, ``a.T`` under conjugation) is rotated and
+    swapped on its first cols entries only, and the level appends
+    (cols, ip, jp, c, s, tp, last) for _replay_tail.
 
     Returns (rotation, retired label).
     """
     x = a[ip, :cols]
     nz = _pivot_support(x, rows)
-    sims = a[:rows, :cols] @ x if nz is None else a[:rows, nz] @ x[nz]
+    if nz is None:
+        sims = a[:rows, :cols] @ x
+    elif parity is None:
+        sims = a[:rows, nz] @ x[nz]
+    else:
+        sims = _row_gather(x, nz, a, rows, parity)
     g_ii = float(sims[ip])
     sims[ip] = -np.inf
     jp = _argmax_by_label(sims, labels)
@@ -92,34 +138,61 @@ def _level(a, rows, cols, ip, labels, conjugate=False):
     theta = givens_from_gram2(g_ii, float(sims[jp]), float(y @ y))
     rotation = GivensRotation(int(labels[ip]), int(labels[jp]), theta, a.shape[0])
     c, s = math.cos(theta), math.sin(theta)
-    sides = (a, a.T) if conjugate else (a,)
+    if tail is None:
+        sides = (a,)
+    elif parity is None:
+        sides = (a[:, :cols],)
+    else:
+        sides = (a, a.T[:, :cols])
     for m in sides:
-        # rows (p, q) <- (c p + s q, -s p + c q); q is updated in place as
-        # c q - s p, which rounds exactly as -s p + c q does
-        p, q = m[ip], m[jp]
-        rotated = c * p + s * q
-        q *= c
-        q -= s * p
-        p[...] = rotated
+        _rotate(m[ip], m[jp], c, s)
     mi, mj = float(x @ x), float(y @ y)
-    if conjugate:  # off-diagonal mass only
+    if parity is not None:  # off-diagonal mass only
         mi -= float(a[ip, ip]) ** 2
         mj -= float(a[jp, jp]) ** 2
     tp = _pick_retire(ip, jp, mi, mj, labels)
     last = rows - 1
     for m in sides:
-        row = m[tp].copy()
-        m[tp] = m[last]
-        m[last] = row
+        _swap(m, tp, last)
     labels[tp], labels[last] = labels[last], labels[tp]
+    if tail is not None:
+        tail.append((cols, ip, jp, c, s, tp, last))
     return rotation, int(labels[last])
 
 
-def conjugation_sweep(a, core_size, rng):
+def _replay_tail(a, tail):
+    """Apply each deferred step of the sweep to the rows of a it skipped.
+
+    A step (cols, ip, jp, c, s, tp, last) rotated columns ip and jp of a,
+    then swapped columns tp and last, on rows [:cols] only. Rows [cols:]
+    were retired by then and no later level reads or writes them, so each
+    gets its steps here, in level order, with the same elementwise
+    arithmetic. A step's columns lie below cols + 1, so a block of rows
+    [r0, r1) needs only a[r0:r1, :r1]; it is worked on through a contiguous
+    transposed copy of at most n x _REPLAY_ROWS entries.
+    """
+    if not tail:
+        return
+    n = a.shape[0]
+    for r0 in range(tail[-1][0], n, _REPLAY_ROWS):
+        r1 = min(r0 + _REPLAY_ROWS, n)
+        block = np.ascontiguousarray(a[r0:r1, :r1].T)
+        for cols, ip, jp, c, s, tp, last in tail:
+            if cols >= r1:
+                continue
+            m = block[:, max(cols - r0, 0):]
+            _rotate(m[ip], m[jp], c, s)
+            _swap(m, tp, last)
+        a[r0:r1, :r1] = block.T
+
+
+def conjugation_sweep(a, core_size, rng, *, parity):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
-    Runs until core_size positions stay active (but never below one). Mutates
-    `a` in place; on exit a holds the rotated matrix with rows and columns
+    a is symmetric (parity False) or skew-symmetric (parity True); the
+    caller checks it, and the sparse-support levels rely on it. Runs until
+    core_size positions stay active (but never below one). Mutates `a` in
+    place; on exit a holds the rotated matrix with rows and columns
     permuted identically by the returned label array.
 
     Returns (rotations, perm, retired_labels).
@@ -127,11 +200,12 @@ def conjugation_sweep(a, core_size, rng):
     n = a.shape[0]
     perm = np.arange(n)
     highs = np.arange(n, max(core_size, 1), -1)
-    rotations, retired = [], []
+    rotations, retired, tail = [], [], []
     for k, ip in zip(highs.tolist(), rng.integers(highs).tolist()):
-        rotation, label = _level(a, k, k, ip, perm, conjugate=True)
+        rotation, label = _level(a, k, k, ip, perm, parity=parity, tail=tail)
         rotations.append(rotation)
         retired.append(label)
+    _replay_tail(a, tail)
     return rotations, perm, retired
 
 
@@ -147,16 +221,17 @@ def two_basis_sweep(a, core_size, rng):
     n = a.shape[0]
     row_perm, col_perm = np.arange(n), np.arange(n)
     left, right = [], []
-    row_retired, col_retired = [], []
+    row_retired, col_retired, tail = [], [], []
     levels = np.arange(n, core_size, -1)
     pivots = rng.integers(np.repeat(levels, 2)).reshape(-1, 2).tolist()
     for k, (ip, ipc) in zip(levels.tolist(), pivots):
         rotation, label = _level(a, k, k, ip, row_perm)
         left.append(rotation)
         row_retired.append(label)
-        rotation, label = _level(a.T, k, k - 1, ipc, col_perm)
+        rotation, label = _level(a.T, k, k - 1, ipc, col_perm, tail=tail)
         right.append(rotation)
         col_retired.append(label)
+    _replay_tail(a, tail)
     return left, right, row_perm, col_perm, row_retired, col_retired
 
 

@@ -233,11 +233,14 @@ def frobenius_relative_error(A, B):
     if A.n != B.n:
         raise ValueError("matrix dimensions differ")
     a = A.to_dense()
-    num = np.linalg.norm(a - B.to_dense())
-    den = np.linalg.norm(a)
+    d = a - B.to_dense()
+    # einsum sums the squares in its own fixed order, where np.linalg.norm
+    # calls a BLAS dot whose result depends on the BLAS thread count
+    num = float(np.einsum("ij,ij->", d, d))
+    den = float(np.einsum("ij,ij->", a, a))
     if den == 0.0:
         raise ValueError("relative error undefined for a zero reference matrix")
-    return float(num / den)
+    return math.sqrt(num) / math.sqrt(den)
 
 
 def numerical_symmetry(A):

@@ -62,8 +62,11 @@ def _swap_cols(a, perm, p, q):
         perm[[p, q]] = perm[[q, p]]
 
 
-def conjugation_sweep(a, core_size, rng, level_callback=None):
+def conjugation_sweep(a, core_size, rng, level_callback=None, parity=None):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
+
+    parity is accepted for the package's signature and unused: the full
+    product scores partners the same way for either half.
 
     Runs until core_size positions stay active (but never below one). Mutates
     `a` in place; on exit a holds the rotated matrix with rows and columns

@@ -96,12 +96,49 @@ def test_conjugation_sweep_matches_reference(name, half):
     n = a.shape[0]
     for d in (0, 1, n // 10, n):
         new, old = a.copy(), a.copy()
-        got = jacobi.conjugation_sweep(new, d, np.random.default_rng(d))
+        got = jacobi.conjugation_sweep(new, d, np.random.default_rng(d), parity=half == 2)
         want = ref.conjugation_sweep(old, d, np.random.default_rng(d))
         assert _rotation_bytes(got[0]) == _rotation_bytes(want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
         assert new.tobytes() == old.tobytes()
+
+
+@st.composite
+def _replay_cases(draw):
+    """A general, symmetric or skew input of size 2..40, a core size and a seed."""
+    n = draw(st.integers(2, 40))
+    half = draw(st.sampled_from((0, 1, 2)))  # general, symmetric, skew
+    core = draw(st.integers(1 if half == 0 else 0, n - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from((0.1, 0.3, 1.0)))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    return (a, (a + a.T) * 0.5, (a - a.T) * 0.5)[half], half, core, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_cases())
+def test_sweeps_replay_the_retired_tail_in_small_blocks(case):
+    # 3-row replay blocks: partial blocks, tp == last and pairs holding last
+    # all occur, and each must leave the matrix as the reference sweeps do
+    a, half, core, seed = case
+    new, old = a.copy(), a.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jacobi, "_REPLAY_ROWS", 3)
+        if half:
+            got = jacobi.conjugation_sweep(new, core, np.random.default_rng(seed),
+                                           parity=half == 2)
+        else:
+            got = jacobi.two_basis_sweep(new, core, np.random.default_rng(seed))
+    sweep = ref.conjugation_sweep if half else ref.two_basis_sweep
+    want = sweep(old, core, np.random.default_rng(seed))
+    rotations = 1 if half else 2
+    for g, w in zip(got[:rotations], want[:rotations]):
+        assert _rotation_bytes(g) == _rotation_bytes(w)
+    for g, w in zip(got[rotations:], want[rotations:]):
+        assert np.array_equal(g, w)
+    assert new.tobytes() == old.tobytes()
 
 
 # ---------------------------------------------------------------- factorizations
@@ -166,7 +203,8 @@ def test_reconstructions_match_reference(name):
     left, right = jacobi.two_basis_sweep(a.copy(), n // 10, np.random.default_rng(1))[:2]
     assert (jacobi.two_basis_reconstruct(h, left, right).tobytes()
             == ref.two_basis_reconstruct(h, left, right).tobytes())
-    rotations = jacobi.conjugation_sweep(_halves(name)[1], 1, np.random.default_rng(2))[0]
+    rotations = jacobi.conjugation_sweep(_halves(name)[1], 1, np.random.default_rng(2),
+                                         parity=False)[0]
     _close(jacobi.conjugate_reconstruct(h, rotations), ref.conjugate_reconstruct(h, rotations))
     assert np.array_equal(jacobi.two_basis_reconstruct(h, [], []), h)
 

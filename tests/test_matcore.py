@@ -1,12 +1,17 @@
 """Core matrix kernel tests: splits, rotations, angle rule, index sets, error and symmetry metrics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrmf
 from mrmf import (
     GivensRotation,
     IndexSet,
@@ -317,6 +322,26 @@ def test_relative_error_coo_equals_dense():
 def test_relative_error_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimensions differ"):
         frobenius_relative_error(dense(np.eye(2)), dense(np.eye(3)))
+
+
+GAUSSIAN_PAIR_ERROR = """
+import numpy as np
+from mrmf import SquareMatrix, frobenius_relative_error
+a, b = np.random.default_rng(15).standard_normal((2, 1500, 1500))
+print(repr(frobenius_relative_error(SquareMatrix.from_dense(a), SquareMatrix.from_dense(b))))
+"""
+
+
+def test_relative_error_does_not_depend_on_blas_threads():
+    # a BLAS-backed norm sums in an order that follows the thread count
+    src = str(Path(mrmf.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", GAUSSIAN_PAIR_ERROR], env=env,
+                             capture_output=True, text=True, check=True)
+        printed.append(run.stdout)
+    assert printed[0] == printed[1]
 
 
 def test_numerical_symmetry_symmetric():

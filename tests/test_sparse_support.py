@@ -24,9 +24,13 @@ from test_kernels import INPUTS
 
 
 def _count_supports(monkeypatch):
-    """Wrap the kernel's support choice; the list counts levels that gathered."""
-    gathered = []
-    choose = jacobi._pivot_support
+    """Wrap the kernel's support choice and its row gather.
+
+    The first list counts levels that gathered, the second the conjugation
+    levels among them that read the pivot's support along rows.
+    """
+    gathered, by_rows = [], []
+    choose, gather = jacobi._pivot_support, jacobi._row_gather
 
     def counting(x, rows):
         nz = choose(x, rows)
@@ -34,16 +38,21 @@ def _count_supports(monkeypatch):
             gathered.append(nz.size)
         return nz
 
+    def counting_rows(x, nz, a, rows, skew):
+        by_rows.append(skew)
+        return gather(x, nz, a, rows, skew)
+
     monkeypatch.setattr(jacobi, "_pivot_support", counting)
-    return gathered
+    monkeypatch.setattr(jacobi, "_row_gather", counting_rows)
+    return gathered, by_rows
 
 
-def _sweep(a, d, conjugate):
+def _sweep(a, d, parity):
     """(working matrix, rotations per side, perms, retired labels) of one sweep."""
     a = a.copy()
     rng = np.random.default_rng(d)
-    if conjugate:
-        rotations, perm, retired = jacobi.conjugation_sweep(a, d, rng)
+    if parity is not None:
+        rotations, perm, retired = jacobi.conjugation_sweep(a, d, rng, parity=parity)
         return a, [rotations], [perm], [retired]
     left, right, row_perm, col_perm, row_ret, col_ret = jacobi.two_basis_sweep(a, d, rng)
     return a, [left, right], [row_perm, col_perm], [row_ret, col_ret]
@@ -54,21 +63,24 @@ def _sweep(a, d, conjugate):
 def test_forced_support_product_matches_full_product(name, half, monkeypatch):
     a = INPUTS[name]()
     a = {"general": a, "symmetric": (a + a.T) * 0.5, "skew": (a - a.T) * 0.5}[half]
-    n, conjugate = a.shape[0], half != "general"
+    n, parity = a.shape[0], {"general": None, "symmetric": False, "skew": True}[half]
     for d in (1, n // 10, n - 1):
         with monkeypatch.context() as patch:
-            gathered = _count_supports(patch)
-            want = _sweep(a, d, conjugate)
-            assert gathered == []  # n < floor: the full product
+            gathered, by_rows = _count_supports(patch)
+            want = _sweep(a, d, parity)
+            assert gathered == [] and by_rows == []  # n < floor: the full product
             # a ratio low enough that these n <= 300 inputs gather; at 1, a
             # level of spread64's skew half gathers on a Gram block that is
             # a multiple of the identity up to round-off, where the angle
             # may jump between 0 and pi/4 (both diagonalize it)
             patch.setattr(jacobi, "_SUPPORT_FLOOR", 0)
             patch.setattr(jacobi, "_SUPPORT_RATIO", 8)
-            got = _sweep(a, d, conjugate)
+            got = _sweep(a, d, parity)
         if d == 1:
             assert gathered  # the sparse inputs gather on their early levels
+        # conjugation gathers along rows, with its half's sign; the
+        # two-basis sweep never does
+        assert by_rows == [parity] * (len(gathered) if parity is not None else 0)
         for g, w in zip(got[1], want[1]):
             assert [(r.i, r.j) for r in g] == [(r.i, r.j) for r in w]
             assert np.allclose([r.theta for r in g], [r.theta for r in w], rtol=0, atol=1e-10)
@@ -102,21 +114,26 @@ def _direct_and_additive(A, scalars):
     G = factor_additive(A, scalars, seed=5)
     errors = (frobenius_relative_error(A, reconstruct(F)),
               frobenius_relative_error(A, reconstruct_additive(G)))
+    pairs = tuple([(g.i, g.j) for g in side] for side in (F.left, F.right, G.sym.left, G.skew.left))
     retired = (F.row_retired, F.col_retired, G.sym.row_retired, G.skew.row_retired)
-    return errors, retired
+    return errors, pairs, retired
 
 
 def test_support_product_runs_above_the_floor(above_floor, monkeypatch):
     A, scalars = above_floor
-    gathered = _count_supports(monkeypatch)
-    got_errors, got_retired = _direct_and_additive(A, scalars)
+    gathered, by_rows = _count_supports(monkeypatch)
+    got_errors, got_pairs, got_retired = _direct_and_additive(A, scalars)
     # a refactor that stops the sparse-support product from running fails
-    # here: both sweeps gather on their early levels of this input
+    # here: both sweeps gather on their early levels of this input, and the
+    # additive halves' conjugation sweeps gather along rows
     assert len(gathered) > A.n - jacobi._SUPPORT_FLOOR
+    assert by_rows.count(False) > 0 and by_rows.count(True) > 0
     gathered.clear()
+    by_rows.clear()
     monkeypatch.setattr(jacobi, "_SUPPORT_FLOOR", A.n)
-    want_errors, want_retired = _direct_and_additive(A, scalars)
-    assert gathered == []
+    want_errors, want_pairs, want_retired = _direct_and_additive(A, scalars)
+    assert gathered == [] and by_rows == []
+    assert got_pairs == want_pairs
     assert got_retired == want_retired
     for got, want in zip(got_errors, want_errors):
         assert abs(got - want) <= 1e-12 * want
