@@ -28,11 +28,10 @@ class AdditiveFactorization:
 
     sym: Factorization
     skew: Factorization
-    n: int
 
-    def __post_init__(self):
-        if self.sym.n != self.n or self.skew.n != self.n:
-            raise ValueError("half factorizations disagree on dimension")
+    @property
+    def n(self):
+        return self.sym.n
 
     @property
     def storage_scalars(self):
@@ -78,7 +77,7 @@ def factor_additive(A, budget, seed):
         sym = factor_symmetric(S, solve_core_size(S, "symmetric", share_s), sym_seed)
     if mass_k:
         skew = factor_skew(K, solve_core_size(K, "skew", budget - share_s), skew_seed)
-    return AdditiveFactorization(sym, skew, n)
+    return AdditiveFactorization(sym, skew)
 
 
 def reconstruct_additive(F):

@@ -164,10 +164,10 @@ def load_manifest(path):
     """Read distinct 'group/name' lines; blank lines and #-comments are skipped."""
     first_line = {}
     for lineno, stripped in _lines(path):
-        if "/" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected group/name, got {stripped!r}")
-        group, _, name = stripped.partition("/")
+        group, slash, name = stripped.partition("/")
         entry = (group.strip(), name.strip())
+        if not (slash and all(entry)):
+            raise ValueError(f"{path}:{lineno}: expected group/name, got {stripped!r}")
         if entry in first_line:  # its runs would repeat seeds and pose as extra trials
             raise ValueError(f"{path}:{lineno}: {stripped!r} repeats line {first_line[entry]}")
         first_line[entry] = lineno

@@ -50,9 +50,9 @@ def _load_matrix(spec, cache_dir):
     """A local .mtx path, or group/name resolved through the cache."""
     if spec.endswith(".mtx"):
         return parse_matrix_market(Path(spec).read_bytes())
-    if "/" not in spec:
+    group, slash, name = spec.partition("/")
+    if not (slash and group.strip() and name.strip()):
         raise ValueError(f"expected group/name or a .mtx path, got {spec!r}")
-    group, _, name = spec.partition("/")
     return fetch_suitesparse(group, name, cache_dir)
 
 

@@ -121,7 +121,7 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     swapped on its first cols entries only, and the level appends
     (cols, ip, jp, c, s, tp, last) for _replay_tail.
 
-    Returns (rotation, retired label).
+    Returns the rotation; the retired label is then labels[rows - 1].
     """
     x = a[ip, :cols]
     nz = _pivot_support(x, rows)
@@ -157,7 +157,7 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     labels[tp], labels[last] = labels[last], labels[tp]
     if tail is not None:
         tail.append((cols, ip, jp, c, s, tp, last))
-    return rotation, int(labels[last])
+    return rotation
 
 
 def _replay_tail(a, tail):
@@ -186,6 +186,12 @@ def _replay_tail(a, tail):
         a[r0:r1, :r1] = block.T
 
 
+def _retired(perm, levels):
+    """Labels in retirement order: the level at active size k parks its
+    retired label at position k - 1, which no later level touches."""
+    return perm[::-1][:levels].tolist()
+
+
 def conjugation_sweep(a, core_size, rng, *, parity):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
@@ -200,13 +206,11 @@ def conjugation_sweep(a, core_size, rng, *, parity):
     n = a.shape[0]
     perm = np.arange(n)
     highs = np.arange(n, max(core_size, 1), -1)
-    rotations, retired, tail = [], [], []
-    for k, ip in zip(highs.tolist(), rng.integers(highs).tolist()):
-        rotation, label = _level(a, k, k, ip, perm, parity=parity, tail=tail)
-        rotations.append(rotation)
-        retired.append(label)
+    tail = []
+    rotations = [_level(a, k, k, ip, perm, parity=parity, tail=tail)
+                 for k, ip in zip(highs.tolist(), rng.integers(highs).tolist())]
     _replay_tail(a, tail)
-    return rotations, perm, retired
+    return rotations, perm, _retired(perm, len(rotations))
 
 
 def two_basis_sweep(a, core_size, rng):
@@ -220,19 +224,15 @@ def two_basis_sweep(a, core_size, rng):
     """
     n = a.shape[0]
     row_perm, col_perm = np.arange(n), np.arange(n)
-    left, right = [], []
-    row_retired, col_retired, tail = [], [], []
+    left, right, tail = [], [], []
     levels = np.arange(n, core_size, -1)
     pivots = rng.integers(np.repeat(levels, 2)).reshape(-1, 2).tolist()
     for k, (ip, ipc) in zip(levels.tolist(), pivots):
-        rotation, label = _level(a, k, k, ip, row_perm)
-        left.append(rotation)
-        row_retired.append(label)
-        rotation, label = _level(a.T, k, k - 1, ipc, col_perm, tail=tail)
-        right.append(rotation)
-        col_retired.append(label)
+        left.append(_level(a, k, k, ip, row_perm))
+        right.append(_level(a.T, k, k - 1, ipc, col_perm, tail=tail))
     _replay_tail(a, tail)
-    return left, right, row_perm, col_perm, row_retired, col_retired
+    return (left, right, row_perm, col_perm,
+            _retired(row_perm, len(left)), _retired(col_perm, len(right)))
 
 
 def unpermute(a, row_perm, col_perm):
@@ -243,29 +243,13 @@ def unpermute(a, row_perm, col_perm):
 
 
 def _unrotate_rows(m, rotations):
-    """m <- G_1 ... G_L m, applying the rotations in reverse order by waves.
+    """m <- G_1 ... G_L m: each rotation, last first, undone on its two rows.
 
-    A rotation joins the wave after the last one that touched either of its
-    indices, so each wave holds disjoint pairs and moves in one
-    fancy-indexed update: rows (i, j) <- (c r_i + s r_j, -s r_i + c r_j)
-    with c = cos(-theta), s = sin(-theta).
+    Undoing G = (i, j, theta) is the row rotation by -theta, applied with
+    _rotate, the sweep's own rotation step.
     """
-    last = {}
-    waves = []
     for g in reversed(rotations):
-        w = 1 + max(last.get(g.i, -1), last.get(g.j, -1))
-        last[g.i] = last[g.j] = w
-        if w == len(waves):
-            waves.append([])
-        waves[w].append(g)
-    for wave in waves:
-        i = np.array([g.i for g in wave])
-        j = np.array([g.j for g in wave])
-        c = np.array([[math.cos(-g.theta)] for g in wave])
-        s = np.array([[math.sin(-g.theta)] for g in wave])
-        ri, rj = m[i], m[j]
-        m[i] = c * ri + s * rj
-        m[j] = -s * ri + c * rj
+        _rotate(m[g.i], m[g.j], math.cos(-g.theta), math.sin(-g.theta))
 
 
 def _reconstruct(h, left, right):

@@ -1,7 +1,7 @@
 """Loop-per-level sweep and reconstruction kernels, kept only as a test reference.
 
 These are the sweep and reconstruction routines as they stood before the
-shared level kernel and the wave-scheduled reconstruction replaced them in
+shared level kernel and the current reconstruction replaced them in
 ``mrmf.jacobi``. tests/test_kernels.py requires the package's kernels to
 reproduce them: bit for bit for the sweeps and the direct reconstruction,
 within rounding for the conjugation reconstruction.
@@ -62,7 +62,7 @@ def _swap_cols(a, perm, p, q):
         perm[[p, q]] = perm[[q, p]]
 
 
-def conjugation_sweep(a, core_size, rng, level_callback=None, parity=None):
+def conjugation_sweep(a, core_size, rng, parity=None):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
     parity is accepted for the package's signature and unused: the full
@@ -92,8 +92,6 @@ def conjugation_sweep(a, core_size, rng, level_callback=None, parity=None):
         rotations.append(GivensRotation(int(perm[ip]), int(perm[jp]), theta, n))
         rotate_rows_inplace(a, ip, jp, theta)
         rotate_cols_inplace(a, ip, jp, theta)
-        if level_callback is not None:
-            level_callback(a)
         # retire the pair member whose active row carries less off-diagonal mass
         mi = float(a[ip, :k] @ a[ip, :k]) - float(a[ip, ip]) ** 2
         mj = float(a[jp, :k] @ a[jp, :k]) - float(a[jp, jp]) ** 2

@@ -43,6 +43,7 @@ def test_skew_input_mirror_case():
     A = dense(a - a.T)
     F = factor_additive(A, 80, seed=0)
     assert F.sym.storage_scalars == 0
+    assert F.n == F.sym.n == F.skew.n == 8  # the empty half keeps the dimension
     err_add = frobenius_relative_error(A, reconstruct_additive(F))
     err_skew = frobenius_relative_error(A, reconstruct(F.skew))
     assert err_add == err_skew
@@ -50,7 +51,7 @@ def test_skew_input_mirror_case():
 
 def test_zero_matrix_is_free():
     F = factor_additive(dense(np.zeros((5, 5))), 10, seed=0)
-    assert F.storage_scalars == 0
+    assert F.storage_scalars == 0 and F.n == 5
     assert np.max(np.abs(reconstruct_additive(F).to_dense())) == 0.0
 
 

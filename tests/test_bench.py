@@ -6,6 +6,7 @@ matrix file; any attempt to touch the network fails the test.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_load_manifest_requires_group(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text("west0479\n")
     with pytest.raises(ValueError, match="group/name"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("line", ["HB/", "/west0479", " / west0479"])
+def test_load_manifest_refuses_empty_group_or_name(tmp_path, line):
+    # either form would reach the download with an empty part in its URL
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"Test/tiny\n{line}\n")
+    with pytest.raises(ValueError, match=rf"manifest.txt:2: expected group/name, got "
+                                         rf"{re.escape(repr(line.strip()))}$"):
         load_manifest(path)
 
 

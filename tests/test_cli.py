@@ -213,6 +213,21 @@ def test_factor_bad_matrix_spec(cli_env, capsys):
     assert "expected group/name" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["Test/", "/tiny", " /tiny"])
+def test_factor_empty_group_or_name_is_usage_error(cli_env, capsys, monkeypatch, spec):
+    _, cache, _, _ = cli_env
+
+    def no_download(url, timeout=60.0):
+        pytest.fail(f"an empty group or name reached the download: {url}")
+
+    monkeypatch.setattr(mrmf.data, "_default_http_get", no_download)
+    rc = main(["factor", "--matrix", spec, "--method", "cur", "--fraction", "0.25",
+               "--cache-dir", str(cache)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"expected group/name or a .mtx path, got {spec!r}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["factor", "rankscan"])
 def test_infinite_fraction_is_usage_error(cli_env, capsys, tmp_path, command):
     _, _, _, mtx = cli_env

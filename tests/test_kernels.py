@@ -1,4 +1,4 @@
-"""The shared sweep kernel, wave reconstruction and lazy sparsifiers against references.
+"""The shared sweep kernel, reconstruction and lazy sparsifiers against references.
 
 reference_kernels.py holds the loop-per-level sweeps and reconstructions
 the package used before; the sparsifier references below rank every

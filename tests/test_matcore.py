@@ -201,8 +201,8 @@ def test_givens_transposed_is_inverse(theta):
 @settings(deadline=None, max_examples=50)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(0, 12), st.integers(0, 12))
 def test_reconstruct_matches_sequential_dense_products(seed, n, n_left, n_right):
-    # rotations that share an index land in different waves; the result must
-    # still be the ordered product G_1 ... G_L h Q_L^T ... Q_1^T
+    # rotations that share an index must be undone in order: the result is
+    # the ordered product G_1 ... G_L h Q_L^T ... Q_1^T
     rng = np.random.default_rng(seed)
 
     def draw(count):
