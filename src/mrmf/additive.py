@@ -16,7 +16,7 @@ import numpy as np
 from .cores import CoreSparse
 from .direct import Factorization
 from .jacobi import two_basis_reconstruct
-from .matrices import IndexSet, SquareMatrix, split_symmetric_skew
+from .matrices import SquareMatrix, split_symmetric_skew
 from .skew import factor_skew
 from .storage import BudgetError, minimum_storage, solve_core_size
 from .symmetric import factor_symmetric
@@ -40,9 +40,8 @@ class AdditiveFactorization:
 
 def _empty(n):
     """The factorization of a zero half: no rotations, no core, nothing stored."""
-    empty = IndexSet((), n)
-    h = CoreSparse(n, empty, empty, np.zeros((0, 0)), ())
-    return Factorization(n, (), (), h, (), (), conjugate=True)
+    h = CoreSparse(n, [], [], np.zeros((0, 0)), [])
+    return Factorization(n, [], [], h, [], [], conjugate=True)
 
 
 def _sq_mass(M):

@@ -1,9 +1,10 @@
 """Truncated core representations of a rotated matrix.
 
-A CoreSparse keeps a dense block on (row_set x col_set) plus an explicit
-list of off-core entries. The sparsifiers differ only in which off-core
-entries survive: the off-core diagonal, the m largest by magnitude, or the
-m largest under a row/column-disjointness constraint.
+A CoreSparse keeps a dense block on (row_set x col_set), the two sets as
+sorted int64 arrays, plus its off-core entries as one matrices.ENTRY record
+array. The sparsifiers differ only in which off-core entries survive: the
+off-core diagonal, the m largest by magnitude, or the m largest under a
+row/column-disjointness constraint.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import IndexSet
+from .matrices import ENTRY, frozen, index_set
 
 CORE_DIAGONAL = "corediag"
 TOP_N = "topn"
@@ -37,33 +38,34 @@ class Sparsifier:
             raise ValueError("entry budget m must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoreSparse:
-    """Dense core block plus explicit off-core entries of an n x n matrix."""
+    """Dense core block plus explicit off-core entries of an n x n matrix.
+
+    Every field is stored as a read-only copy. The index sets must be sorted
+    distinct indices in range(n); offcore takes (row, col, value) triples or
+    an ENTRY array.
+    """
 
     n: int
-    row_set: IndexSet
-    col_set: IndexSet
+    row_set: np.ndarray
+    col_set: np.ndarray
     core: np.ndarray
-    offcore: tuple  # ((row, col, value), ...)
+    offcore: np.ndarray
 
     def __post_init__(self):
-        core = np.asarray(self.core, dtype=np.float64)
-        if core.shape != (len(self.row_set), len(self.col_set)):
+        for name in ("row_set", "col_set"):
+            object.__setattr__(self, name, index_set(getattr(self, name), self.n))
+        core = frozen(self.core, np.float64)
+        if core.shape != (self.row_set.size, self.col_set.size):
             raise ValueError("core block shape does not match index sets")
-        core = core.copy()
-        core.flags.writeable = False
         object.__setattr__(self, "core", core)
-        object.__setattr__(
-            self, "offcore", tuple((int(r), int(c), float(v)) for r, c, v in self.offcore)
-        )
+        object.__setattr__(self, "offcore", frozen(self.offcore, ENTRY))
 
     def to_dense(self):
         h = np.zeros((self.n, self.n))
-        h[np.ix_(self.row_set.to_array(), self.col_set.to_array())] = self.core
-        if self.offcore:
-            rows, cols, vals = zip(*self.offcore)
-            h[rows, cols] = vals
+        h[np.ix_(self.row_set, self.col_set)] = self.core
+        h[self.offcore["row"], self.offcore["col"]] = self.offcore["val"]
         return h
 
     def storage_scalars(self, index_scalars):
@@ -74,8 +76,8 @@ class CoreSparse:
 def _offcore_mask(n, row_set, col_set):
     row_in = np.zeros(n, dtype=bool)
     col_in = np.zeros(n, dtype=bool)
-    row_in[list(row_set)] = True
-    col_in[list(col_set)] = True
+    row_in[row_set] = True
+    col_in[col_set] = True
     return ~(row_in[:, None] & col_in[None, :])
 
 
@@ -95,8 +97,11 @@ def _ranked_top(h, pos, size):
 
 
 def _entries(h, pos):
-    rows, cols = np.divmod(pos, h.shape[0])
-    return zip(rows.tolist(), cols.tolist(), h.ravel()[pos].tolist())
+    """The entries of h at flat positions pos, as an ENTRY array."""
+    out = np.empty(pos.size, dtype=ENTRY)
+    out["row"], out["col"] = np.divmod(pos, h.shape[0])
+    out["val"] = h.ravel()[pos]
+    return out
 
 
 def _top(h, mask, m):
@@ -104,7 +109,7 @@ def _top(h, mask, m):
     if m == 0:
         return []
     ranked = _ranked_top(h, np.flatnonzero(mask & (h != 0.0)), m)
-    return list(_entries(h, ranked[:m]))
+    return _entries(h, ranked[:m])
 
 
 def _greedy_disjoint(h, mask, limit, rows_used, cols_used):
@@ -120,7 +125,7 @@ def _greedy_disjoint(h, mask, limit, rows_used, cols_used):
     pool = np.flatnonzero(mask & (h != 0.0))
     size = 2 * limit
     while pool.size and len(kept) < limit:
-        for r, c, v in _entries(h, _ranked_top(h, pool, size)):
+        for r, c, v in _entries(h, _ranked_top(h, pool, size)).tolist():
             if not rows_used[r] and not cols_used[c]:
                 rows_used[r] = cols_used[c] = True
                 kept.append((r, c, v))
@@ -142,7 +147,7 @@ def sparsify(h, row_set, col_set, rule):
     m = n * n keeps every off-core entry: the untruncated form.
     """
     n = h.shape[0]
-    core = h[np.ix_(row_set.to_array(), col_set.to_array())]
+    core = h[np.ix_(row_set, col_set)]
     mask = _offcore_mask(n, row_set, col_set)
     m = rule.m if rule.m is not None else max(n - len(row_set), 0)
     if rule.kind == CORE_DIAGONAL:
@@ -152,7 +157,7 @@ def sparsify(h, row_set, col_set, rule):
         kept = _top(h, mask, m)
     else:
         kept = _greedy_disjoint(h, mask, m, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
-    return CoreSparse(n, row_set, col_set, core, tuple(kept))
+    return CoreSparse(n, row_set, col_set, core, kept)
 
 
 def murnaghan_sparsify(h, core_set):
@@ -167,11 +172,11 @@ def murnaghan_sparsify(h, core_set):
     """
     n = h.shape[0]
     non = np.ones(n, dtype=bool)
-    non[list(core_set)] = False
+    non[core_set] = False
     mask = np.triu(np.ones((n, n), dtype=bool), 1) & non[:, None] & non[None, :]
     used = np.zeros(n, dtype=bool)
     kept = []
     for p, q, v in _greedy_disjoint(h, mask, int(non.sum()) // 2, used, used):
         kept += [(p, q, v), (q, p, -v)]
-    core = h[np.ix_(core_set.to_array(), core_set.to_array())]
-    return CoreSparse(n, core_set, core_set, core, tuple(kept))
+    core = h[np.ix_(core_set, core_set)]
+    return CoreSparse(n, core_set, core_set, core, kept)

@@ -15,35 +15,36 @@ import numpy as np
 
 from .cores import GREEDY_TOP_N, Sparsifier
 from .direct import factor_direct
-from .matrices import IndexSet, SquareMatrix, frobenius_relative_error
+from .matrices import SquareMatrix, frobenius_relative_error, frozen, index_set
 from .storage import solve_core_size
 
 PINV_RCOND = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurFactors:
-    """r verbatim columns C, linkage U, r verbatim rows R of an n x n matrix."""
+    """r verbatim columns C, linkage U, r verbatim rows R of an n x n matrix.
+
+    col_ids and row_ids are the sorted int64 ids of the kept columns and
+    rows. Every field is stored as a read-only copy.
+    """
 
     C: np.ndarray
     U: np.ndarray
     R: np.ndarray
-    col_ids: IndexSet
-    row_ids: IndexSet
+    col_ids: np.ndarray
+    row_ids: np.ndarray
 
     def __post_init__(self):
-        C = np.asarray(self.C, dtype=np.float64)
-        U = np.asarray(self.U, dtype=np.float64)
-        R = np.asarray(self.R, dtype=np.float64)
-        n, r = C.shape
-        if U.shape != (r, r) or R.shape != (r, n):
+        for name in ("C", "U", "R"):
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
+        n, r = self.C.shape
+        if self.U.shape != (r, r) or self.R.shape != (r, n):
             raise ValueError("factor shapes disagree")
-        if len(self.col_ids) != r or len(self.row_ids) != r:
-            raise ValueError("index sets do not match rank")
-        for arr, name in ((C, "C"), (U, "U"), (R, "R")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name in ("col_ids", "row_ids"):
+            object.__setattr__(self, name, index_set(getattr(self, name), n))
+            if getattr(self, name).size != r:
+                raise ValueError("index sets do not match rank")
 
     @property
     def n(self):
@@ -96,11 +97,7 @@ def cur_decompose(A, r, seed):
     C = a[:, col_ids]
     R = a[row_ids, :]
     U = np.linalg.pinv(C, rcond=PINV_RCOND) @ a @ np.linalg.pinv(R, rcond=PINV_RCOND)
-    return CurFactors(
-        C, U, R,
-        IndexSet(tuple(int(i) for i in col_ids), n),
-        IndexSet(tuple(int(i) for i in row_ids), n),
-    )
+    return CurFactors(C, U, R, col_ids, row_ids)
 
 
 def reconstruct_cur(f):

@@ -21,14 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import MatrixFormatError, SquareMatrix, numerical_symmetry
+from .matrices import ENTRY, MatrixFormatError, SquareMatrix, numerical_symmetry
 
 SUITESPARSE_URL = "https://sparse.tamu.edu/MM/{group}/{name}.tar.gz"
 
 _HEADER_RE = re.compile(
     r"^%%MatrixMarket\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.IGNORECASE
 )
-_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
 class FetchError(RuntimeError):
@@ -125,14 +124,14 @@ def parse_matrix_market(data):
     # loadtxt warns on a body without entry lines, so it only sees bodies
     # that start with one
     first = next((line for line in lines if line and not line.startswith("%")), None)
-    entries = np.zeros(0, dtype=_ENTRY_DTYPE)
+    entries = np.zeros(0, dtype=ENTRY)
     if first is not None:
         # older numpy reads "1.5" or "1e0" in an integer field by truncating
         # it and only warns; that warning must refuse the line too
         with warnings.catch_warnings():
             warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             try:
-                entries = np.loadtxt(chain([first], fh), dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
+                entries = np.loadtxt(chain([first], fh), dtype=ENTRY, comments="%", ndmin=1)
             except (ValueError, DeprecationWarning):
                 raise MatrixFormatError("malformed coordinate line") from None
     if entries.size != count:

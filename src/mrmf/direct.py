@@ -17,26 +17,32 @@ import numpy as np
 
 from .cores import TOP_N, CoreSparse, Sparsifier, sparsify
 from .jacobi import conjugation_sweep, two_basis_reconstruct, two_basis_sweep, unpermute
-from .matrices import IndexSet, SquareMatrix, check_parity
+from .matrices import ROTATION, SquareMatrix, check_parity, frozen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """Left rotations P, right rotations Q, truncated core H, retired labels.
 
-    Rotations are in application order; row_retired/col_retired hold the
-    label removed at each level, so the active sets are recoverable for any
-    level prefix. With conjugate, right and col_retired equal left and
-    row_retired, and the core row and column sets are one set.
+    left and right are matrices.ROTATION record arrays in application order;
+    row_retired/col_retired are int64 arrays of the label removed at each
+    level, so the active sets are recoverable for any level prefix. Each is
+    stored as a read-only copy. With conjugate, right and col_retired equal
+    left and row_retired, and the core row and column sets are one set.
     """
 
     n: int
-    left: tuple
-    right: tuple
+    left: np.ndarray
+    right: np.ndarray
     H: CoreSparse
-    row_retired: tuple
-    col_retired: tuple
+    row_retired: np.ndarray
+    col_retired: np.ndarray
     conjugate: bool = False
+
+    def __post_init__(self):
+        for name, dtype in (("left", ROTATION), ("right", ROTATION),
+                            ("row_retired", np.int64), ("col_retired", np.int64)):
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
 
     @property
     def core_rows(self):
@@ -79,13 +85,10 @@ def sweep_and_truncate(A, core_size, seed, parity, truncate):
     else:
         left, right, row_perm, col_perm, row_ret, col_ret = two_basis_sweep(a, core_size, rng)
     hbar = unpermute(a, row_perm, col_perm)
-    rows, cols = (IndexSet(tuple(sorted(int(i) for i in p[:core_size])), n)
-                  for p in (row_perm, col_perm))
+    rows, cols = (np.sort(p[:core_size]) for p in (row_perm, col_perm))
     lossless = Sparsifier(TOP_N, m=n * n)
     h = truncate(hbar, rows, cols) if truncate else sparsify(hbar, rows, cols, lossless)
-    return Factorization(
-        n, tuple(left), tuple(right), h, tuple(row_ret), tuple(col_ret), conjugate
-    )
+    return Factorization(n, left, right, h, row_ret, col_ret, conjugate)
 
 
 def factor_direct(A, core_size, sparsifier, seed, truncate=True):

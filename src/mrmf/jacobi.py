@@ -4,7 +4,8 @@ The working matrix keeps active rows/columns compacted into its leading
 block: each retirement swaps the retired row/column with the last active one,
 so every per-level Gram product runs on the leading rows x cols view. A
 permutation array maps positions back to original labels; recorded rotations
-always carry original labels.
+always carry original labels. A sweep returns its rotations as one
+matrices.ROTATION record array and its retired labels as an int64 array.
 
 While the active block has more than _SUPPORT_FLOOR rows, a level whose
 pivot row has fewer than cols / _SUPPORT_RATIO nonzeros scores partners on
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .matrices import GivensRotation, givens_from_gram2
+from .matrices import ROTATION, givens_from_gram2
 
 # up to the floor a sweep stays bit for bit the full product's, so small
 # inputs keep their outputs. The row phase and conjugation gather strided
@@ -121,7 +122,8 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     swapped on its first cols entries only, and the level appends
     (cols, ip, jp, c, s, tp, last) for _replay_tail.
 
-    Returns the rotation; the retired label is then labels[rows - 1].
+    Returns the rotation (labels[ip], labels[jp], theta), labelled before
+    the swap; the retired label is then labels[rows - 1].
     """
     x = a[ip, :cols]
     nz = _pivot_support(x, rows)
@@ -136,7 +138,7 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     jp = _argmax_by_label(sims, labels)
     y = a[jp, :cols]
     theta = givens_from_gram2(g_ii, float(sims[jp]), float(y @ y))
-    rotation = GivensRotation(int(labels[ip]), int(labels[jp]), theta, a.shape[0])
+    rotation = (labels[ip], labels[jp], theta)
     c, s = math.cos(theta), math.sin(theta)
     if tail is None:
         sides = (a,)
@@ -189,7 +191,7 @@ def _replay_tail(a, tail):
 def _retired(perm, levels):
     """Labels in retirement order: the level at active size k parks its
     retired label at position k - 1, which no later level touches."""
-    return perm[::-1][:levels].tolist()
+    return perm[::-1][:levels].copy()
 
 
 def conjugation_sweep(a, core_size, rng, *, parity):
@@ -207,8 +209,9 @@ def conjugation_sweep(a, core_size, rng, *, parity):
     perm = np.arange(n)
     highs = np.arange(n, max(core_size, 1), -1)
     tail = []
-    rotations = [_level(a, k, k, ip, perm, parity=parity, tail=tail)
-                 for k, ip in zip(highs.tolist(), rng.integers(highs).tolist())]
+    rotations = np.array([_level(a, k, k, ip, perm, parity=parity, tail=tail)
+                          for k, ip in zip(highs.tolist(), rng.integers(highs).tolist())],
+                         dtype=ROTATION)
     _replay_tail(a, tail)
     return rotations, perm, _retired(perm, len(rotations))
 
@@ -231,6 +234,7 @@ def two_basis_sweep(a, core_size, rng):
         left.append(_level(a, k, k, ip, row_perm))
         right.append(_level(a.T, k, k - 1, ipc, col_perm, tail=tail))
     _replay_tail(a, tail)
+    left, right = (np.array(side, dtype=ROTATION) for side in (left, right))
     return (left, right, row_perm, col_perm,
             _retired(row_perm, len(left)), _retired(col_perm, len(right)))
 
@@ -248,8 +252,8 @@ def _unrotate_rows(m, rotations):
     Undoing G = (i, j, theta) is the row rotation by -theta, applied with
     _rotate, the sweep's own rotation step.
     """
-    for g in reversed(rotations):
-        _rotate(m[g.i], m[g.j], math.cos(-g.theta), math.sin(-g.theta))
+    for i, j, theta in reversed(np.asarray(rotations, ROTATION).tolist()):
+        _rotate(m[i], m[j], math.cos(-theta), math.sin(-theta))
 
 
 def _reconstruct(h, left, right):

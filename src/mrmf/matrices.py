@@ -2,15 +2,15 @@
 
 A matrix is stored either as a dense numpy array or as sorted coordinate
 (COO) triplets; parsed Matrix Market input arrives as COO, and every
-factorizer works on ``to_dense()``. Givens rotations, the symmetric/skew
-split, the Frobenius error metric and the numerical-symmetry count live here.
+factorizer works on ``to_dense()``. The record dtypes of the stored form
+(ROTATION and ENTRY) and its read-only index sets, the Givens angle, the
+symmetric/skew split, the Frobenius error metric and the numerical-symmetry
+count live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -48,9 +48,7 @@ class SquareMatrix:
         arr = _as_float_array(values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MatrixFormatError(f"expected a square 2-d array, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        return cls(arr.shape[0], dense=arr)
+        return cls(arr.shape[0], dense=frozen(arr, np.float64))
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -109,65 +107,29 @@ class SquareMatrix:
         return f"SquareMatrix(n={self.n}, nnz={self.nnz}, storage={kind})"
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Ordered distinct indices drawn from range(n)."""
-
-    indices: tuple
-    n: int
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if len(set(idx)) != len(idx):
-            raise ValueError("index set entries must be distinct")
-        if idx and (min(idx) < 0 or max(idx) >= self.n):
-            raise ValueError("index out of range")
-        object.__setattr__(self, "_members", frozenset(idx))
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __getitem__(self, k):
-        return self.indices[k]
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, i):
-        return i in self._members
-
-    def to_array(self):
-        return np.array(self.indices, dtype=np.int64)
+# The stored form of every factorization is record arrays of these two
+# dtypes. A rotation (i, j, theta) on labels i != j is the plane rotation
+# G with G[i,i] = G[j,j] = cos(theta), G[j,i] = -G[i,j] = sin(theta), the
+# identity elsewhere; an entry is one (row, col, val) of a matrix, also the
+# record a Matrix Market entry line parses to.
+ROTATION = np.dtype([("i", np.int64), ("j", np.int64), ("theta", np.float64)])
+ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 
 
-@dataclass(frozen=True)
-class GivensRotation:
-    """Plane rotation on coordinates (i, j) of an n-dim space.
+def frozen(values, dtype):
+    """A read-only copy of values as an array of dtype."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
-    As a matrix: G[i,i] = G[j,j] = cos(theta), G[i,j] = -sin(theta),
-    G[j,i] = sin(theta), identity elsewhere.
-    """
 
-    i: int
-    j: int
-    theta: float
-    n: int
-
-    def __post_init__(self):
-        if not (0 <= self.i < self.n and 0 <= self.j < self.n):
-            raise ValueError("rotation index out of range")
-        if self.i == self.j:
-            raise ValueError("rotation indices must differ")
-
-    def matrix(self):
-        g = np.eye(self.n)
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        g[self.i, self.i] = c
-        g[self.j, self.j] = c
-        g[self.i, self.j] = -s
-        g[self.j, self.i] = s
-        return g
+def index_set(values, n):
+    """frozen(values, int64), checked to be sorted distinct indices in range(n)."""
+    idx = frozen(values, np.int64)
+    ordered = idx.ndim == 1 and np.all(idx[1:] > idx[:-1])
+    if not ordered or (idx.size and (idx[0] < 0 or idx[-1] >= n)):
+        raise ValueError(f"index set must be sorted distinct indices in range({n})")
+    return idx
 
 
 def givens_from_gram2(g_ii, g_ij, g_jj):

@@ -4,7 +4,9 @@ These are the sweep and reconstruction routines as they stood before the
 shared level kernel and the current reconstruction replaced them in
 ``mrmf.jacobi``. tests/test_kernels.py requires the package's kernels to
 reproduce them: bit for bit for the sweeps and the direct reconstruction,
-within rounding for the conjugation reconstruction.
+within rounding for the conjugation reconstruction. They record each
+rotation as its own (i, j, theta) tuple, independent of the package's
+stored form.
 """
 
 from __future__ import annotations
@@ -13,7 +15,19 @@ import math
 
 import numpy as np
 
-from mrmf.matrices import GivensRotation, givens_from_gram2
+from mrmf.matrices import givens_from_gram2
+
+
+def givens_matrix(n, i, j, theta):
+    """The n x n rotation G on (i, j): G[i,i] = G[j,j] = cos(theta),
+    G[i,j] = -sin(theta), G[j,i] = sin(theta), the identity elsewhere."""
+    g = np.eye(n)
+    c, s = math.cos(theta), math.sin(theta)
+    g[i, i] = c
+    g[j, j] = c
+    g[i, j] = -s
+    g[j, i] = s
+    return g
 
 
 def rotate_rows_inplace(a, i, j, theta):
@@ -89,7 +103,7 @@ def conjugation_sweep(a, core_size, rng, parity=None):
         g_ij = float(sims[jp])
         g_jj = float(a[jp, :k] @ a[jp, :k])
         theta = givens_from_gram2(g_ii, g_ij, g_jj)
-        rotations.append(GivensRotation(int(perm[ip]), int(perm[jp]), theta, n))
+        rotations.append((int(perm[ip]), int(perm[jp]), theta))
         rotate_rows_inplace(a, ip, jp, theta)
         rotate_cols_inplace(a, ip, jp, theta)
         # retire the pair member whose active row carries less off-diagonal mass
@@ -131,7 +145,7 @@ def two_basis_sweep(a, core_size, rng):
         g_ij = float(sims[jp])
         g_jj = float(a[jp, :kc] @ a[jp, :kc])
         theta = givens_from_gram2(g_ii, g_ij, g_jj)
-        left.append(GivensRotation(int(row_perm[ip]), int(row_perm[jp]), theta, n))
+        left.append((int(row_perm[ip]), int(row_perm[jp]), theta))
         rotate_rows_inplace(a, ip, jp, theta)
         mi = float(a[ip, :kc] @ a[ip, :kc])
         mj = float(a[jp, :kc] @ a[jp, :kc])
@@ -148,7 +162,7 @@ def two_basis_sweep(a, core_size, rng):
         g_ij = float(simsc[jpc])
         g_jj = float(a[:kr, jpc] @ a[:kr, jpc])
         theta = givens_from_gram2(g_ii, g_ij, g_jj)
-        right.append(GivensRotation(int(col_perm[ipc]), int(col_perm[jpc]), theta, n))
+        right.append((int(col_perm[ipc]), int(col_perm[jpc]), theta))
         rotate_cols_inplace(a, ipc, jpc, theta)
         mi = float(a[:kr, ipc] @ a[:kr, ipc])
         mj = float(a[:kr, jpc] @ a[:kr, jpc])
@@ -162,17 +176,17 @@ def two_basis_sweep(a, core_size, rng):
 def conjugate_reconstruct(h, rotations):
     """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order."""
     m = np.array(h, dtype=np.float64)
-    for g in reversed(rotations):
-        rotate_rows_inplace(m, g.i, g.j, -g.theta)
-        rotate_cols_inplace(m, g.i, g.j, -g.theta)
+    for i, j, theta in reversed(rotations):
+        rotate_rows_inplace(m, i, j, -theta)
+        rotate_cols_inplace(m, i, j, -theta)
     return m
 
 
 def two_basis_reconstruct(h, left, right):
     """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders."""
     m = np.array(h, dtype=np.float64)
-    for g in reversed(left):
-        rotate_rows_inplace(m, g.i, g.j, -g.theta)
-    for g in reversed(right):
-        rotate_cols_inplace(m, g.i, g.j, -g.theta)
+    for i, j, theta in reversed(left):
+        rotate_rows_inplace(m, i, j, -theta)
+    for i, j, theta in reversed(right):
+        rotate_cols_inplace(m, i, j, -theta)
     return m

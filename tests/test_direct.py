@@ -9,7 +9,6 @@ from mrmf import (
     CORE_DIAGONAL,
     GREEDY_TOP_N,
     TOP_N,
-    IndexSet,
     Sparsifier,
     SquareMatrix,
     factor_direct,
@@ -17,6 +16,7 @@ from mrmf import (
     reconstruct,
     sparsify,
 )
+from reference_kernels import givens_matrix
 
 
 def dense(a):
@@ -94,13 +94,13 @@ def _offcore_fixture():
     h = np.zeros((4, 4))
     h[0, 0] = 9.0
     h[1, 2], h[2, 1], h[1, 3] = 5.0, 4.0, 3.0
-    return h, IndexSet((0,), 4), IndexSet((0,), 4)
+    return h, np.array([0]), np.array([0])
 
 
 def test_topn_keeps_largest_two():
     h, rows, cols = _offcore_fixture()
     out = sparsify(h, rows, cols, Sparsifier(TOP_N, m=2))
-    assert set(out.offcore) == {(1, 2, 5.0), (2, 1, 4.0)}
+    assert set(out.offcore.tolist()) == {(1, 2, 5.0), (2, 1, 4.0)}
 
 
 def test_greedytopn_accepts_transposed_pair():
@@ -108,7 +108,7 @@ def test_greedytopn_accepts_transposed_pair():
     # (1,3) is then rejected for reusing row 1
     h, rows, cols = _offcore_fixture()
     out = sparsify(h, rows, cols, Sparsifier(GREEDY_TOP_N, m=2))
-    assert set(out.offcore) == {(1, 2, 5.0), (2, 1, 4.0)}
+    assert set(out.offcore.tolist()) == {(1, 2, 5.0), (2, 1, 4.0)}
 
 
 def test_greedytopn_rejects_row_reuse():
@@ -116,19 +116,19 @@ def test_greedytopn_rejects_row_reuse():
     out = sparsify(h, rows, cols, Sparsifier(GREEDY_TOP_N, m=3))
     # only two acceptable entries exist: (1,3) conflicts on row 1 and
     # nothing else remains
-    assert set(out.offcore) == {(1, 2, 5.0), (2, 1, 4.0)}
+    assert set(out.offcore.tolist()) == {(1, 2, 5.0), (2, 1, 4.0)}
 
 
 def test_corediag_keeps_offcore_diagonal():
     h, rows, cols = _offcore_fixture()
     h[2, 2], h[3, 3] = -1.5, 0.25
     out = sparsify(h, rows, cols, Sparsifier(CORE_DIAGONAL))
-    assert set(out.offcore) == {(2, 2, -1.5), (3, 3, 0.25)}
+    assert set(out.offcore.tolist()) == {(2, 2, -1.5), (3, 3, 0.25)}
 
 
 def test_sparsify_diagonal_lossless_all_kinds():
     h = np.diag([3.0, -2.0, 1.0, 0.5])
-    rows = cols = IndexSet((0, 1), 4)
+    rows = cols = np.array([0, 1])
     for kind in ALL_KINDS:
         out = sparsify(h, rows, cols, Sparsifier(kind))
         assert np.array_equal(out.to_dense(), h), kind
@@ -137,8 +137,8 @@ def test_sparsify_diagonal_lossless_all_kinds():
 def test_topn_ties_broken_by_position():
     h = np.zeros((3, 3))
     h[1, 2], h[2, 1] = 2.0, -2.0  # equal magnitude; (1,2) sorts first
-    out = sparsify(h, IndexSet((0,), 3), IndexSet((0,), 3), Sparsifier(TOP_N, m=1))
-    assert out.offcore == ((1, 2, 2.0),)
+    out = sparsify(h, np.array([0]), np.array([0]), Sparsifier(TOP_N, m=1))
+    assert out.offcore.tolist() == [(1, 2, 2.0)]
 
 
 def test_topn_dominates_others_at_equal_budget():
@@ -172,11 +172,11 @@ def test_rotation_products_orthogonal():
     A = random_general(10, seed=25)
     F = factor_direct(A, 3, Sparsifier(TOP_N), seed=2)
     p = np.eye(10)
-    for g in F.left:
-        p = p @ g.matrix()
+    for g in F.left.tolist():
+        p = p @ givens_matrix(10, *g)
     q = np.eye(10)
-    for g in F.right:
-        q = q @ g.matrix()
+    for g in F.right.tolist():
+        q = q @ givens_matrix(10, *g)
     assert np.max(np.abs(p.T @ p - np.eye(10))) <= 1e-11
     assert np.max(np.abs(q.T @ q - np.eye(10))) <= 1e-11
 
@@ -185,17 +185,17 @@ def test_retired_rows_and_cols_never_reused():
     A = random_general(11, seed=27)
     F = factor_direct(A, 3, Sparsifier(GREEDY_TOP_N), seed=4)
     seen_rows, seen_cols = set(), set()
-    for g_left, g_right, r_ret, c_ret in zip(
-        F.left, F.right, F.row_retired, F.col_retired
+    for (li, lj, _), (ri, rj, _), r_ret, c_ret in zip(
+        F.left.tolist(), F.right.tolist(), F.row_retired.tolist(), F.col_retired.tolist()
     ):
-        assert g_left.i not in seen_rows and g_left.j not in seen_rows
-        assert g_right.i not in seen_cols and g_right.j not in seen_cols
-        assert r_ret in (g_left.i, g_left.j)
-        assert c_ret in (g_right.i, g_right.j)
+        assert li not in seen_rows and lj not in seen_rows
+        assert ri not in seen_cols and rj not in seen_cols
+        assert r_ret in (li, lj)
+        assert c_ret in (ri, rj)
         seen_rows.add(r_ret)
         seen_cols.add(c_ret)
-    assert seen_rows.isdisjoint(F.core_rows)
-    assert seen_cols.isdisjoint(F.core_cols)
+    assert seen_rows.isdisjoint(F.core_rows.tolist())
+    assert seen_cols.isdisjoint(F.core_cols.tolist())
 
 
 def test_row_phase_preserves_column_gram():
@@ -203,8 +203,8 @@ def test_row_phase_preserves_column_gram():
     A = random_general(8, seed=29)
     F = factor_direct(A, 2, Sparsifier(TOP_N), seed=6)
     work = A.to_dense().copy()
-    for g in F.left:
-        work = g.matrix().T @ work
+    for g in F.left.tolist():
+        work = givens_matrix(8, *g).T @ work
     before = A.to_dense().T @ A.to_dense()
     after = work.T @ work
     assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
@@ -238,10 +238,8 @@ def test_core_block_is_rotated_submatrix(seed):
     A = random_general(6, seed=seed % 1013)
     F = factor_direct(A, 2, Sparsifier(CORE_DIAGONAL), seed)
     work = A.to_dense().copy()
-    for g in F.left:
-        work = g.matrix().T @ work
-    for g in F.right:
-        work = work @ g.matrix()
-    rows = F.core_rows.to_array()
-    cols = F.core_cols.to_array()
-    assert np.max(np.abs(work[np.ix_(rows, cols)] - F.H.core)) <= 1e-11
+    for g in F.left.tolist():
+        work = givens_matrix(6, *g).T @ work
+    for g in F.right.tolist():
+        work = work @ givens_matrix(6, *g)
+    assert np.max(np.abs(work[np.ix_(F.core_rows, F.core_cols)] - F.H.core)) <= 1e-11

@@ -19,9 +19,9 @@ from mrmf.jacobi import conjugate_reconstruct
 
 def _check_conjugate(F):
     assert F.conjugate
-    assert F.left == F.right
-    assert F.row_retired == F.col_retired
-    assert F.core_rows == F.core_cols
+    assert F.left.tolist() == F.right.tolist()
+    assert np.array_equal(F.row_retired, F.col_retired)
+    assert np.array_equal(F.core_rows, F.core_cols)
     # the rotations and the core index set are stored once
     assert F.storage_scalars == (
         3 * len(F.left) + F.H.core.size + 3 * len(F.H.offcore) + len(F.core_rows)
@@ -61,7 +61,7 @@ def test_conjugate_routes_store_one_sequence_and_core_set(case, data):
     budget = data.draw(st.integers(minimum_storage(n, kind), n * n + n))
     F = factor_additive(A, budget, seed)
     empty = F.skew if kind == "symmetric" else F.sym
-    assert empty.left == () and empty.storage_scalars == 0
+    assert len(empty.left) == 0 and empty.storage_scalars == 0
     for half in (F.sym, F.skew):
         _check_conjugate(half)
 
@@ -83,4 +83,4 @@ def test_shallower_runs_are_prefixes_of_deeper_runs(n, seed, data):
         shallow, deep = run(k1), run(k2)
         assert len(shallow.left) == n - k1
         for side in ("left", "right", "row_retired", "col_retired"):
-            assert getattr(shallow, side) == getattr(deep, side)[: n - k1]
+            assert getattr(shallow, side).tolist() == getattr(deep, side)[: n - k1].tolist()

@@ -57,10 +57,22 @@ def test_factors_are_verbatim_slices():
     A = random_general(9, seed=5)
     f = cur_decompose(A, 3, seed=1)
     a = A.to_dense()
-    assert np.array_equal(f.C, a[:, f.col_ids.to_array()])
-    assert np.array_equal(f.R, a[f.row_ids.to_array(), :])
+    assert np.array_equal(f.C, a[:, f.col_ids])
+    assert np.array_equal(f.R, a[f.row_ids, :])
     assert list(f.col_ids) == sorted(f.col_ids)
     assert list(f.row_ids) == sorted(f.row_ids)
+
+
+def test_factors_refuse_bad_ids():
+    # the kept ids are sorted distinct indices in range(n), one per rank
+    C, U, R = np.ones((4, 2)), np.ones((2, 2)), np.ones((2, 4))
+    f = CurFactors(C, U, R, [0, 3], (1, 2))
+    assert f.col_ids.dtype == np.int64 and f.row_ids.tolist() == [1, 2]
+    for bad in ([1, 1], [0, 4], [-1, 2], [2, 0], [0]):
+        with pytest.raises(ValueError):
+            CurFactors(C, U, R, bad, [1, 2])
+        with pytest.raises(ValueError):
+            CurFactors(C, U, R, [1, 2], bad)
 
 
 def test_rejects_bad_rank_and_zero_matrix():

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import mrmf
 from mrmf import (
-    GivensRotation,
-    IndexSet,
+    CoreSparse,
     MatrixFormatError,
     SquareMatrix,
     frobenius_relative_error,
@@ -23,6 +22,7 @@ from mrmf import (
     split_symmetric_skew,
 )
 from mrmf.jacobi import conjugate_reconstruct, two_basis_reconstruct
+from reference_kernels import givens_matrix
 
 
 def dense(a):
@@ -155,25 +155,26 @@ def test_from_coo_rejects_duplicate_explicit_zero():
 
 def test_givens_zero_angle_is_identity():
     a = np.arange(9.0).reshape(3, 3)
-    g = GivensRotation(0, 2, 0.0, 3)
-    assert np.array_equal(g.matrix(), np.eye(3))
+    g = (0, 2, 0.0)
+    assert np.array_equal(givens_matrix(3, *g), np.eye(3))
     assert np.array_equal(two_basis_reconstruct(a, [g], [g]), a)
     assert np.array_equal(conjugate_reconstruct(a, [g]), a)
 
 
 def test_givens_quarter_turn_on_identity():
-    g = GivensRotation(0, 1, math.pi / 2, 2)
-    assert np.allclose(g.matrix(), [[0.0, -1.0], [1.0, 0.0]], rtol=0.0, atol=1e-15)
+    g = (0, 1, math.pi / 2)
+    gm = givens_matrix(2, *g)
+    assert np.allclose(gm, [[0.0, -1.0], [1.0, 0.0]], rtol=0.0, atol=1e-15)
     # undoing a left rotation of the identity leaves the rotation itself
-    assert np.allclose(two_basis_reconstruct(np.eye(2), [g], []), g.matrix(), rtol=0.0, atol=1e-15)
-    assert np.allclose(two_basis_reconstruct(np.eye(2), [], [g]), g.matrix().T, rtol=0.0, atol=1e-15)
+    assert np.allclose(two_basis_reconstruct(np.eye(2), [g], []), gm, rtol=0.0, atol=1e-15)
+    assert np.allclose(two_basis_reconstruct(np.eye(2), [], [g]), gm.T, rtol=0.0, atol=1e-15)
 
 
 def test_givens_matches_dense_product():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4))
-    g = GivensRotation(1, 3, 0.7, 4)
-    gm = g.matrix()
+    g = (1, 3, 0.7)
+    gm = givens_matrix(4, *g)
     left = two_basis_reconstruct(a, [g], [])
     right = two_basis_reconstruct(a, [], [g])
     assert np.max(np.abs(left - gm @ a)) <= 1e-13
@@ -183,19 +184,10 @@ def test_givens_matches_dense_product():
     assert np.array_equal(right[:, [0, 2]], a[:, [0, 2]])
 
 
-def test_givens_rejects_bad_indices():
-    with pytest.raises(ValueError, match="out of range"):
-        GivensRotation(0, 4, 0.5, 4)
-    with pytest.raises(ValueError, match="out of range"):
-        GivensRotation(-1, 2, 0.5, 4)
-    with pytest.raises(ValueError, match="differ"):
-        GivensRotation(2, 2, 0.5, 4)
-
-
 @given(st.floats(-10.0, 10.0))
 def test_givens_transposed_is_inverse(theta):
-    g = GivensRotation(3, 1, theta, 5)
-    assert np.max(np.abs(g.matrix().T @ g.matrix() - np.eye(5))) <= 1e-15
+    g = givens_matrix(5, 3, 1, theta)
+    assert np.max(np.abs(g.T @ g - np.eye(5))) <= 1e-15
 
 
 @settings(deadline=None, max_examples=50)
@@ -209,16 +201,16 @@ def test_reconstruct_matches_sequential_dense_products(seed, n, n_left, n_right)
         out = []
         for _ in range(count):
             i, j = rng.choice(n, 2, replace=False)
-            out.append(GivensRotation(int(i), int(j), float(rng.uniform(-3.0, 3.0)), n))
+            out.append((int(i), int(j), float(rng.uniform(-3.0, 3.0))))
         return out
 
     h = rng.standard_normal((n, n))
     left, right = draw(n_left), draw(n_right)
     p, q = np.eye(n), np.eye(n)
     for g in left:
-        p = p @ g.matrix()
+        p = p @ givens_matrix(n, *g)
     for g in right:
-        q = q @ g.matrix()
+        q = q @ givens_matrix(n, *g)
     scale = max(np.linalg.norm(h), 1.0)
     assert np.linalg.norm(two_basis_reconstruct(h, left, right) - p @ h @ q.T) <= 1e-12 * scale
     assert np.linalg.norm(conjugate_reconstruct(h, left) - p @ h @ p.T) <= 1e-12 * scale
@@ -270,19 +262,14 @@ def test_angle_range_and_diagonalization(gii, gij, gjj):
 
 
 def test_index_set_rejects_repeats_and_out_of_range():
-    with pytest.raises(ValueError, match="distinct"):
-        IndexSet((1, 3, 1), 4)
-    with pytest.raises(ValueError, match="out of range"):
-        IndexSet((0, 4), 4)
-    with pytest.raises(ValueError, match="out of range"):
-        IndexSet((-1,), 4)
-
-
-def test_index_set_order_and_membership():
-    s = IndexSet((4, 0, 2), 6)
-    assert list(s) == [4, 0, 2] and len(s) == 3 and s[0] == 4
-    assert 2 in s and 3 not in s
-    assert s.to_array().dtype == np.int64 and s.to_array().tolist() == [4, 0, 2]
+    # a core's index sets must be sorted distinct indices in range(n)
+    for bad in ((1, 3, 1), (0, 4), (-1,), (2, 0)):
+        with pytest.raises(ValueError, match="sorted distinct indices in range"):
+            CoreSparse(4, bad, [0], np.zeros((len(bad), 1)), [])
+        with pytest.raises(ValueError, match="sorted distinct indices in range"):
+            CoreSparse(4, [0], bad, np.zeros((1, len(bad))), [])
+    H = CoreSparse(4, (0, 3), [], np.zeros((2, 0)), [])
+    assert H.row_set.dtype == np.int64 and H.row_set.tolist() == [0, 3]
 
 
 # ---------------------------------------------------------------- errors & symmetry
@@ -382,7 +369,7 @@ def test_numerical_symmetry_matches_brute_force(n, data):
 
 @given(st.floats(-10.0, 10.0))
 def test_rotation_matrix_orthogonal(theta):
-    g = GivensRotation(0, 2, theta, 4).matrix()
+    g = givens_matrix(4, 0, 2, theta)
     assert np.max(np.abs(g.T @ g - np.eye(4))) <= 1e-12
 
 
@@ -391,8 +378,7 @@ def test_rotation_matrix_orthogonal(theta):
 def test_left_rotation_preserves_column_gram(seed, theta):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 5))
-    g = GivensRotation(1, 4, theta, 5)
-    rotated = g.matrix().T @ a
+    rotated = givens_matrix(5, 1, 4, theta).T @ a
     before = a.T @ a
     after = rotated.T @ rotated
     assert np.linalg.norm(after - before) <= 1e-12 * max(np.linalg.norm(before), 1.0)
@@ -403,8 +389,7 @@ def test_left_rotation_preserves_column_gram(seed, theta):
 def test_right_rotation_preserves_row_gram(seed, theta):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 5))
-    g = GivensRotation(0, 3, theta, 5)
-    rotated = a @ g.matrix()
+    rotated = a @ givens_matrix(5, 0, 3, theta)
     before = a @ a.T
     after = rotated @ rotated.T
     assert np.linalg.norm(after - before) <= 1e-12 * max(np.linalg.norm(before), 1.0)
