@@ -29,7 +29,7 @@ from .cur import cur_decompose, cur_relative_error, hybrid_compress
 from .data import DecaySpec, MatrixMetadata, fetch_suitesparse, gen_decay_matrix
 from .direct import factor_direct, reconstruct
 from .matrices import frobenius_relative_error
-from .storage import SPARSE_COO, StorageBudget, solve_core_size
+from .storage import DENSE, SPARSE_COO, StorageBudget, solve_core_size
 from .symmetric import factor_symmetric
 
 BENCH_METHODS = (
@@ -75,6 +75,8 @@ class SweepConfig:
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"fraction {f} outside (0, 1]")
+        if self.accounting not in (SPARSE_COO, DENSE):
+            raise ValueError(f"unknown accounting mode {self.accounting!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.max_workers < 1:
@@ -216,7 +218,8 @@ def run_sweep(config, http_get=None, log=None):
 
     Items run on a bounded thread pool; rows and reports follow the
     manifest/methods/fractions/trial order, so output is deterministic.
-    Matrices or runs that fail are recorded and skipped, never fatal.
+    Matrices or runs that fail are recorded (matrix, stage, exception type
+    name, message) and skipped, never fatal.
     """
     say = log if log is not None else (lambda msg: None)
     matrices = []
@@ -228,7 +231,8 @@ def run_sweep(config, http_get=None, log=None):
             matrices.append((label, A, meta))
             say(f"loaded {label}: n={meta.n} nnz={meta.nnz}")
         except Exception as exc:
-            failures.append({"matrix": label, "stage": "load", "error": str(exc)})
+            failures.append({"matrix": label, "stage": "load",
+                             "type": type(exc).__name__, "error": str(exc)})
             say(f"skipped {label}: {exc}")
 
     def run_item(A, row):
@@ -260,7 +264,7 @@ def run_sweep(config, http_get=None, log=None):
         except Exception as exc:
             failures.append({
                 "matrix": label, "stage": f"{method}@{fraction:g}/trial{trial}",
-                "error": str(exc),
+                "type": type(exc).__name__, "error": str(exc),
             })
             say(f"failed {label} {method} f={fraction:g} trial={trial}: {exc}")
             continue

@@ -294,6 +294,7 @@ def test_load_sweep_config_errors(tmp_path, body, fragment):
         ({"fractions": (1.5,)}, "outside"),
         ({"trials": 0}, "trials"),
         ({"max_workers": 0}, "max_workers"),
+        ({"accounting": "bits"}, "unknown accounting mode 'bits'"),
         ({"methods": ("cur", "additive", "cur")}, "methods list repeats an entry"),
         ({"fractions": (0.5, 0.25, 0.5)}, "fractions list repeats an entry"),
     ],
@@ -456,9 +457,9 @@ def test_sweep_failures_logged_not_fatal(sweep_env):
         max_workers=1,
     )
     res = run_sweep(cfg, http_get=not_found)
-    stages = [(f["matrix"], f["stage"]) for f in res.failures]
-    assert ("Missing/gone", "load") in stages
-    assert ("Test/tiny", "cur@0.02/trial0") in stages
+    stages = [(f["matrix"], f["stage"], f["type"]) for f in res.failures]
+    assert ("Missing/gone", "load", "MatrixNotFoundError") in stages
+    assert ("Test/tiny", "cur@0.02/trial0", "BudgetError") in stages
     assert [(r.method, r.fraction) for r in res.reports] == [("cur", 0.25)]
 
 

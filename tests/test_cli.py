@@ -395,6 +395,26 @@ def test_sweep_bad_config_is_usage_error(cli_env, capsys, tmp_path, body, fragme
     assert fragment in captured.err
 
 
+def test_sweep_unknown_accounting_is_refused_before_any_load(cli_env, capsys, tmp_path,
+                                                             monkeypatch):
+    _, cache, manifest, _ = cli_env
+    config = tmp_path / "sweep.cfg"
+    config.write_text(
+        f"manifest = {manifest}\nmethods = cur\nfractions = 0.25\naccounting = bits\n"
+        f"output = {tmp_path / 'sweep.csv'}\ncache_dir = {cache}\n"
+    )
+
+    def no_load(*args, **kwargs):
+        pytest.fail("a sweep with an unknown accounting mode loaded a matrix")
+
+    monkeypatch.setattr(mrmf.bench, "fetch_suitesparse", no_load)
+    rc = main(["sweep", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "unknown accounting mode 'bits'" in captured.err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["fetch", "sweep"])
 def test_repeated_manifest_line_is_usage_error(cli_env, capsys, tmp_path, command):
     _, cache, _, _ = cli_env

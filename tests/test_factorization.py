@@ -1,20 +1,31 @@
-"""The one Factorization form as the symmetric, skew and additive routes build it."""
+"""The one Factorization form as the symmetric, skew and additive routes build it,
+and the storage count of every method against the arrays it stores."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrmf import (
+    BENCH_METHODS,
+    AdditiveFactorization,
+    CurFactors,
     Sparsifier,
     SquareMatrix,
+    StorageBudget,
+    compression_error,
+    cur_decompose,
     factor_additive,
     factor_direct,
     factor_skew,
     factor_symmetric,
+    hybrid_compress,
     minimum_storage,
     reconstruct,
+    solve_core_size,
 )
 from mrmf.jacobi import conjugate_reconstruct
+from mrmf.storage import DENSE
 
 
 def _check_conjugate(F):
@@ -84,3 +95,45 @@ def test_shallower_runs_are_prefixes_of_deeper_runs(n, seed, data):
         assert len(shallow.left) == n - k1
         for side in ("left", "right", "row_retired", "col_retired"):
             assert getattr(shallow, side).tolist() == getattr(deep, side)[: n - k1].tolist()
+
+
+def _route(A, method, scalars, seed):
+    """The stored result of one method, built the way compression_error builds it."""
+    if method == "additive":
+        return factor_additive(A, scalars, seed)
+    if method == "cur":
+        return cur_decompose(A, solve_core_size(A, "cur", scalars), seed)
+    if method == "hybrid":
+        return hybrid_compress(A, solve_core_size(A, "cur", scalars), scalars, seed)
+    d = solve_core_size(A, method, scalars)
+    return factor_direct(A, d, Sparsifier(method.partition("-")[2]), seed)
+
+
+def _scalars_held(F):
+    """Scalars in the arrays F stores: a ROTATION or ENTRY record holds 3.
+
+    Retired labels are bookkeeping that the ruler does not count, and a
+    conjugate factorization stores its rotations and core set once.
+    """
+    if isinstance(F, AdditiveFactorization):
+        return _scalars_held(F.sym) + _scalars_held(F.skew)
+    if isinstance(F, CurFactors):
+        arrays = (F.C, F.U, F.R, F.col_ids, F.row_ids)
+    else:
+        arrays = (F.left, F.H.row_set, F.H.core, F.H.offcore)
+        if not F.conjugate:
+            arrays += (F.right, F.H.col_set)
+    return sum(a.size * len(a.dtype.names or (a.dtype,)) for a in arrays)
+
+
+@pytest.mark.parametrize("method", BENCH_METHODS)
+@pytest.mark.parametrize("kind", ("general", "symmetric"))
+def test_storage_count_is_the_stored_arrays(method, kind):
+    m = np.random.default_rng(17).standard_normal((24, 24))
+    m *= np.random.default_rng(18).random((24, 24)) < 0.3
+    A = SquareMatrix.from_dense(m if kind == "general" else m + m.T)
+    for fraction in (0.5, 0.7, 0.9):  # 0.5 is above the additive minimum at n=24
+        scalars = StorageBudget(fraction, DENSE).scalars(A)
+        F = _route(A, method, scalars, seed=3)
+        assert F.storage_scalars == _scalars_held(F) <= scalars
+        assert compression_error(A, method, scalars, 3)[1] == F.storage_scalars
