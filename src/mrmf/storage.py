@@ -1,10 +1,14 @@
 """Storage accounting: the common scalar ruler for every method.
 
-Every stored number or index counts as one scalar. A Givens rotation is 3
-scalars (i, j, theta); a truncated core is its dense block plus 3 per
-explicit off-core entry plus its index sets; CUR counts factor entries plus
-the selected row/column ids. Budgets are a fraction of the input's base
-size: 3*nnz under the default sparse-coo accounting, n^2 under dense.
+Every stored number or index counts as one scalar, so a result's count is
+the number of scalars in the arrays its reconstruction reads. A Givens
+rotation is one matrices.ROTATION record, 3 scalars (i, j, theta); a
+truncated core is its dense block plus one 3-scalar matrices.ENTRY record
+per off-core entry plus its index sets; CUR counts the entries of C, U and
+R plus the selected row/column ids. The retired labels a factorization
+keeps are not read by reconstruction and not counted. Budgets are a
+fraction of the input's base size: 3*nnz under the default sparse-coo
+accounting, n^2 under dense.
 """
 
 from __future__ import annotations
