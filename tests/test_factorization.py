@@ -112,8 +112,8 @@ def _route(A, method, scalars, seed):
 def _scalars_held(F):
     """Scalars in the arrays F stores: a ROTATION or ENTRY record holds 3.
 
-    Retired labels are bookkeeping that the ruler does not count, and a
-    conjugate factorization stores its rotations and core set once.
+    Retired labels are not counted (reconstruction does not read them), and
+    a conjugate factorization stores its rotations and core set once.
     """
     if isinstance(F, AdditiveFactorization):
         return _scalars_held(F.sym) + _scalars_held(F.skew)
