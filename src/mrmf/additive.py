@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cores import CoreSparse
-from .direct import Factorization
+from .direct import Factorization, shaped_like, sizes_of
 from .jacobi import two_basis_reconstruct
 from .matrices import SquareMatrix, split_symmetric_skew
 from .skew import factor_skew
@@ -49,19 +49,20 @@ def _sq_mass(M):
     return float(np.dot(vals, vals))
 
 
-def factor_additive(A, budget, seed):
-    """Factor the symmetric and skew halves of A under a shared budget.
+def half_masses(A):
+    """Squared Frobenius masses of A's symmetric and skew halves."""
+    return tuple(_sq_mass(half) for half in split_symmetric_skew(A))
 
-    budget is a scalar count (convert a fraction with StorageBudget.scalars(A)).
+
+def split_budget(n, masses, budget):
+    """The (symmetric, skew) shares of a scalar budget, given the halves' masses.
+
     Each half with mass is floored at its own minimum storable footprint
     before the mass-proportional split is applied; a half with zero mass has
-    minimum and share 0 and stores nothing.
+    minimum and share 0 and stores nothing. Raises BudgetError when the
+    budget is below the sum of the minimums.
     """
-    n = A.n
-    S, K = split_symmetric_skew(A)
-    mass_s, mass_k = _sq_mass(S), _sq_mass(K)
-    sym_seed, skew_seed = np.random.SeedSequence(seed).spawn(2)
-
+    mass_s, mass_k = masses
     min_s = minimum_storage(n, "symmetric") if mass_s else 0
     min_k = minimum_storage(n, "skew") if mass_k else 0
     if budget < min_s + min_k:
@@ -71,12 +72,32 @@ def factor_additive(A, budget, seed):
         )
     share_s = int(round(budget * mass_s / (mass_s + mass_k))) if mass_s else 0
     share_s = min(max(share_s, min_s), budget - min_k)
-    sym, skew = _empty(n), _empty(n)
-    if mass_s:
-        sym = factor_symmetric(S, solve_core_size(S, "symmetric", share_s), sym_seed)
-    if mass_k:
-        skew = factor_skew(K, solve_core_size(K, "skew", budget - share_s), skew_seed)
-    return AdditiveFactorization(sym, skew)
+    return share_s, budget - share_s
+
+
+def factor_additive(A, budget, seed):
+    """Factor the symmetric and skew halves of A under a shared budget.
+
+    budget is a scalar count (convert a fraction with StorageBudget.scalars(A)),
+    split between the halves by split_budget. A tuple of budgets gives a
+    tuple of factorizations: A is split once, every budget is checked before
+    any sweep, and one sweep per half serves them all, each result bit for
+    bit the one its own call would return.
+    """
+    n = A.n
+    budgets = sizes_of(budget)
+    S, K = split_symmetric_skew(A)
+    masses = _sq_mass(S), _sq_mass(K)
+    shares = [split_budget(n, masses, b) for b in budgets]
+    sym_seed, skew_seed = np.random.SeedSequence(seed).spawn(2)
+    sym = skew = (_empty(n),) * len(budgets)
+    if masses[0]:
+        sizes = tuple(solve_core_size(S, "symmetric", share) for share, _ in shares)
+        sym = factor_symmetric(S, sizes, sym_seed)
+    if masses[1]:
+        sizes = tuple(solve_core_size(K, "skew", share) for _, share in shares)
+        skew = factor_skew(K, sizes, skew_seed)
+    return shaped_like(budget, [AdditiveFactorization(*halves) for halves in zip(sym, skew)])
 
 
 def reconstruct_additive(F):

@@ -1,8 +1,9 @@
 """Benchmark harness: compression sweeps, win tables, decay and rank scans.
 
-Every run is seeded by hashing a stable key string, so a sweep is
-reproducible item-by-item regardless of worker scheduling, and rerunning a
-config at the same BLAS thread count yields byte-identical CSV (the thread
+Every run is seeded by hashing a stable key string (run_seed: the matrix,
+the route and the trial), so a sweep is reproducible item by item
+regardless of worker scheduling, and rerunning a config at the same BLAS
+thread count yields byte-identical CSV (the thread
 count changes the BLAS reduction order, and with it the last bits of the
 rotation angles and errors). Reported storage is checked against the
 budget on every run — a factorization that overshoots its budget is a bug,
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .additive import factor_additive, reconstruct_additive
+from .additive import factor_additive, half_masses, reconstruct_additive, split_budget
 from .cores import Sparsifier
 from .cur import cur_decompose, cur_relative_error, hybrid_compress
 from .data import DecaySpec, MatrixMetadata, fetch_suitesparse, gen_decay_matrix
@@ -116,9 +117,20 @@ def derive_seed(base_seed, *parts):
     return zlib.crc32(key.encode("ascii"))
 
 
-def run_seed(base_seed, meta, method, fraction, trial):
-    """Seed of one sweep run, keyed by the matrix's group/name, never its path."""
-    return derive_seed(base_seed, f"{meta.group}/{meta.name}", method, repr(fraction), trial)
+def _route(method):
+    """The sweep a method's runs share: "direct" for the direct-* methods,
+    which differ only in their truncation, else the method itself."""
+    return "direct" if method.startswith("direct-") else method
+
+
+def run_seed(base_seed, meta, method, trial):
+    """Seed of every run of one (matrix, route, trial), whatever its budget.
+
+    The matrix is keyed by its group/name, never its path. One seed per
+    route lets one sweep serve the route's methods and fractions, since a
+    shallower sweep is a prefix of a deeper one of the same seed.
+    """
+    return derive_seed(base_seed, f"{meta.group}/{meta.name}", _route(method), trial)
 
 
 def _lines(path):
@@ -176,36 +188,61 @@ def load_manifest(path):
     return list(first_line)
 
 
-def compression_error(A, method, scalars, seed):
+def _solve(A, method, scalars):
+    """Size parameter of one run: the core size, or the rank for cur/hybrid.
+
+    Raises BudgetError when the budget is below the method's minimum.
+    """
+    if method == "hybrid":
+        # solved first so a budget below hybrid's minimum names hybrid;
+        # the rank is what a stored CUR affords (rank sweeps go past it)
+        solve_core_size(A, "hybrid", scalars)
+        return solve_core_size(A, "cur", scalars)
+    if method != "cur" and _route(method) != "direct":
+        raise ValueError(f"unknown method {method!r}")
+    return solve_core_size(A, method, scalars)
+
+
+def _build(A, runs, seed):
+    """(stored result, size parameter) of each (method, size, scalars) run of one route.
+
+    The direct runs share one two-basis sweep and the additive runs one
+    sweep per half (additive takes no size: factor_additive splits each
+    budget itself, and the size reported is the symmetric half's core size,
+    or the skew half's when the symmetric half is empty); cur and hybrid
+    build each run on its own.
+    """
+    methods, sizes, budgets = zip(*runs)
+    route = _route(methods[0])
+    if route == "direct":
+        rules = tuple(Sparsifier(m.partition("-")[2]) for m in methods)
+        return list(zip(factor_direct(A, sizes, rules, seed), sizes))
+    if route == "additive":
+        return [(F, len(F.sym.core_rows) or len(F.skew.core_rows))
+                for F in factor_additive(A, budgets, seed)]
+    if route == "cur":
+        return [(cur_decompose(A, r, seed), r) for r in sizes]
+    return [(hybrid_compress(A, r, k, seed), r) for r, k in zip(sizes, budgets)]
+
+
+def compression_error(A, method, scalars, seed, built=None):
     """Run one method under a scalar budget; (error, storage, size parameter).
 
     The size parameter is the core size for factorization methods and the
     rank for cur/hybrid. For additive it is the symmetric half's core size,
     or the skew half's when the symmetric half is empty (a purely skew
-    input). Storage is verified against the budget.
+    input). built is the run's (stored result, size parameter) when a
+    sweep shared with other runs made it (run_sweep); None builds it here,
+    from the run's own sweep. Storage is verified against the budget.
     """
+    if built is None:
+        size = None if method == "additive" else _solve(A, method, scalars)
+        built, = _build(A, [(method, size, scalars)], seed)
+    F, param = built
     if method == "cur":
-        param = solve_core_size(A, "cur", scalars)
-        F = cur_decompose(A, param, seed)
         err = cur_relative_error(A, F)
     else:
-        if method == "additive":
-            F = factor_additive(A, scalars, seed)
-            approx = reconstruct_additive(F)
-            param = len(F.sym.core_rows) or len(F.skew.core_rows)
-        elif method == "hybrid":
-            # solved first so a budget below hybrid's minimum names hybrid;
-            # the rank is what a stored CUR affords (rank sweeps go past it)
-            solve_core_size(A, "hybrid", scalars)
-            param = solve_core_size(A, "cur", scalars)
-            F = hybrid_compress(A, param, scalars, seed)
-            approx = reconstruct(F)
-        elif method in ("direct-corediag", "direct-topn", "direct-greedytopn"):
-            param = solve_core_size(A, method, scalars)
-            F = factor_direct(A, param, Sparsifier(method.partition("-")[2]), seed)
-            approx = reconstruct(F)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        approx = reconstruct_additive(F) if method == "additive" else reconstruct(F)
         err = frobenius_relative_error(A, approx)
     storage = F.storage_scalars
     if storage > scalars:
@@ -213,11 +250,57 @@ def compression_error(A, method, scalars, seed):
     return err, storage, param
 
 
-def run_sweep(config, http_get=None, log=None):
-    """Full benchmark sweep: every (matrix, method, fraction, trial) item.
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised, so a failure stays on its row."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
-    Items run on a bounded thread pool; rows and reports follow the
-    manifest/methods/fractions/trial order, so output is deterministic.
+
+def _run_item(A, rows):
+    """Each row of one (matrix, route, trial) item as a finished row dict,
+    or as the exception that failed it, in row order.
+
+    cur and hybrid rows share nothing and run one by one. The direct and
+    additive rows are solved first; a row whose solve raises fails alone,
+    and the others share one _build. A row's wall time is its own
+    compression_error call plus an equal share of that build.
+    """
+    def measure(row, built=None, shared_s=0.0):
+        start = time.perf_counter()
+        err, storage, param = compression_error(A, row["method"], row["budget"], row["seed"], built)
+        elapsed = time.perf_counter() - start + shared_s
+        return {**row, "param": param, "storage": storage, "error": err, "wall_time_s": elapsed}
+
+    route = _route(rows[0]["method"])
+    if route in ("cur", "hybrid"):
+        return [_attempt(measure, row) for row in rows]
+    if route == "additive":
+        masses = half_masses(A)
+        out = [_attempt(split_budget, A.n, masses, row["budget"]) for row in rows]
+    else:
+        out = [_attempt(_solve, A, row["method"], row["budget"]) for row in rows]
+    ready = [i for i, size in enumerate(out) if not isinstance(size, Exception)]
+    if ready:
+        start = time.perf_counter()
+        runs = [(rows[i]["method"], out[i], rows[i]["budget"]) for i in ready]
+        built = _attempt(_build, A, runs, rows[0]["seed"])
+        shared_s = (time.perf_counter() - start) / len(ready)
+        for k, i in enumerate(ready):
+            out[i] = built if isinstance(built, Exception) else _attempt(
+                measure, rows[i], built[k], shared_s)
+    return out
+
+
+def run_sweep(config, http_get=None, log=None):
+    """Full benchmark sweep: one row per (matrix, method, fraction, trial).
+
+    A pool item is one (matrix, route, trial) with all of its rows, so one
+    sweep serves every direct-* method and fraction, and one sweep per half
+    every additive fraction (see _run_item). Items run on a bounded thread
+    pool; rows and reports follow the manifest/methods/fractions/trial
+    order, so output is deterministic.
     Matrices or runs that fail are recorded (matrix, stage, exception type
     name, message) and skipped, never fatal.
     """
@@ -235,42 +318,46 @@ def run_sweep(config, http_get=None, log=None):
                              "type": type(exc).__name__, "error": str(exc)})
             say(f"skipped {label}: {exc}")
 
-    def run_item(A, row):
-        start = time.perf_counter()
-        err, storage, param = compression_error(A, row["method"], row["budget"], row["seed"])
-        elapsed = time.perf_counter() - start
-        return {**row, "param": param, "storage": storage, "error": err, "wall_time_s": elapsed}
-
-    items = []  # (label, metadata, the run's input row, its future), in item order
+    work = []  # per matrix: (label, metadata, rows in row order, its items)
     with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
         for label, A, meta in matrices:
+            rows = []
             for method, fraction in product(config.methods, config.fractions):
                 scalars = StorageBudget(fraction, config.accounting).scalars(A)
                 for trial in range(config.trials):
-                    seed = run_seed(config.seed, meta, method, fraction, trial)
-                    row = {
+                    rows.append({
                         "group": meta.group, "name": meta.name, "kind": meta.kind,
                         "n": meta.n, "nnz": meta.nnz, "method": method,
-                        "fraction": fraction, "trial": trial, "seed": seed, "budget": scalars,
-                    }
-                    items.append((label, meta, row, pool.submit(run_item, A, row)))
+                        "fraction": fraction, "trial": trial,
+                        "seed": run_seed(config.seed, meta, method, trial), "budget": scalars,
+                    })
+            groups = {}  # (route, trial) -> positions of the item's rows
+            for i, row in enumerate(rows):
+                groups.setdefault((_route(row["method"]), row["trial"]), []).append(i)
+            items = [(idx, pool.submit(_run_item, A, [rows[i] for i in idx]))
+                     for idx in groups.values()]
+            work.append((label, meta, rows, items))
 
-    rows = []
-    cells = {}  # (matrix, method, fraction) -> (metadata, rows), in item order
-    for label, meta, row, fut in items:
-        method, fraction, trial = row["method"], row["fraction"], row["trial"]
-        try:
-            done = fut.result()
-        except Exception as exc:
-            failures.append({
-                "matrix": label, "stage": f"{method}@{fraction:g}/trial{trial}",
-                "type": type(exc).__name__, "error": str(exc),
-            })
-            say(f"failed {label} {method} f={fraction:g} trial={trial}: {exc}")
-            continue
-        rows.append(done)
-        cells.setdefault((label, method, fraction), (meta, []))[1].append(done)
-        say(f"done {label} {method} f={fraction:g} trial={trial}")
+    done_rows = []
+    cells = {}  # (matrix, method, fraction) -> (metadata, rows), in row order
+    for label, meta, rows, items in work:
+        outcomes = [None] * len(rows)
+        for idx, fut in items:
+            got = _attempt(fut.result)
+            for k, i in enumerate(idx):
+                outcomes[i] = got if isinstance(got, Exception) else got[k]
+        for row, done in zip(rows, outcomes):
+            method, fraction, trial = row["method"], row["fraction"], row["trial"]
+            if isinstance(done, Exception):
+                failures.append({
+                    "matrix": label, "stage": f"{method}@{fraction:g}/trial{trial}",
+                    "type": type(done).__name__, "error": str(done),
+                })
+                say(f"failed {label} {method} f={fraction:g} trial={trial}: {done}")
+                continue
+            done_rows.append(done)
+            cells.setdefault((label, method, fraction), (meta, []))[1].append(done)
+            say(f"done {label} {method} f={fraction:g} trial={trial}")
 
     reports = []
     for (_, method, fraction), (meta, cell) in cells.items():
@@ -288,7 +375,7 @@ def run_sweep(config, http_get=None, log=None):
         for method in config.methods:
             if method != "cur":
                 win_tables[method] = win_table(reports, method, "cur")
-    return SweepResult(tuple(reports), tuple(rows), tuple(failures), win_tables)
+    return SweepResult(tuple(reports), tuple(done_rows), tuple(failures), win_tables)
 
 
 def win_table(reports, method, baseline):

@@ -117,7 +117,7 @@ def _cmd_rankscan(args):
 def _cmd_factor(args):
     A, meta = _load_matrix(args.matrix, args.cache_dir)
     scalars = StorageBudget(args.fraction, args.accounting).scalars(A)
-    seed = run_seed(args.seed, meta, args.method, args.fraction, 0)  # a sweep's trial 0
+    seed = run_seed(args.seed, meta, args.method, 0)  # a sweep's trial 0
     err, storage, param = compression_error(A, args.method, scalars, seed)
     report = {
         "matrix": {"source": args.matrix, **asdict(meta)},

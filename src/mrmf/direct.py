@@ -60,17 +60,42 @@ class Factorization:
         return 3 * (len(self.left) + len(self.right)) + self.H.storage_scalars(idx)
 
 
-def sweep_and_truncate(A, core_size, seed, parity, truncate):
-    """Sweep A down to core_size active indices, then truncate the rotated matrix.
+def sizes_of(size):
+    """A route's size argument as a tuple: a tuple as given, any other value
+    as the one-element tuple."""
+    sizes = size if isinstance(size, tuple) else (size,)
+    if not sizes:
+        raise ValueError("no size to factor to")
+    return sizes
+
+
+def shaped_like(size, results):
+    """The results of sizes_of(size): a tuple for a tuple, else the one result."""
+    return tuple(results) if isinstance(size, tuple) else results[0]
+
+
+def sweep_and_truncate(A, cuts, seed, parity):
+    """Sweep A once and cut one Factorization per (core_size, truncate) pair.
 
     parity None runs two_basis_sweep. False (symmetric) or True (skew) runs
     conjugation_sweep after check_parity has passed on the working copy, so
-    a wrong-parity input raises before any level. truncate(h, rows, cols)
-    turns the unpermuted rotated matrix and the surviving core sets into the
-    stored CoreSparse; None keeps every entry (topn with m = n * n), the
-    lossless form.
+    a wrong-parity input raises before any level. The sweep runs to the
+    smallest core size and stops at each larger one; a conjugation sweep
+    ends at one active index, so there core sizes 0 and 1 are one stop. At
+    each stop the rotated matrix is unpermuted once, and every cut at that
+    stop truncates it: truncate(h, rows, cols) turns it and the surviving
+    core sets into the stored CoreSparse; None keeps every entry (topn with
+    m = n * n), the lossless form. So one n x n snapshot is alive at a time,
+    and each cut is bit for bit the one a sweep of its own would give.
+
+    Returns the factorizations in the order of cuts. Each core size must
+    lie in [1, n], or [0, n] for a skew sweep.
     """
     n = A.n
+    lo = 0 if parity else 1
+    for d, _ in cuts:
+        if not lo <= d <= n:
+            raise ValueError(f"core_size must be in [{lo}, {n}]")
     a = A.to_dense()
     if A.is_sparse:  # a fresh array no one else holds: sweep it in place
         a.flags.writeable = True
@@ -78,17 +103,31 @@ def sweep_and_truncate(A, core_size, seed, parity, truncate):
         a = a.copy()
     rng = np.random.default_rng(seed)
     conjugate = parity is not None
+    lossless = Sparsifier(TOP_N, m=n * n)
+    stop_of = [max(d, 1) if conjugate else d for d, _ in cuts]
+    out = [None] * len(cuts)
+
+    def cut(left, right, row_perm, col_perm, row_ret, col_ret):
+        hbar = unpermute(a, row_perm, col_perm)
+        for k, (d, truncate) in enumerate(cuts):
+            if stop_of[k] == n - len(left):
+                rows, cols = (np.sort(p[:d]) for p in (row_perm, col_perm))
+                h = truncate(hbar, rows, cols) if truncate else sparsify(hbar, rows, cols, lossless)
+                out[k] = Factorization(n, left, right, h, row_ret, col_ret, conjugate)
+
+    deepest = min(d for d, _ in cuts)
+    stops = set(stop_of) - {min(stop_of)}
     if conjugate:
         check_parity(a, skew=parity)
-        left, row_perm, row_ret = conjugation_sweep(a, core_size, rng, parity=parity)
-        right, col_perm, col_ret = left, row_perm, row_ret
+
+        def conjugate_cut(rotations, perm, retired):
+            cut(rotations, rotations, perm, perm, retired, retired)
+
+        conjugate_cut(*conjugation_sweep(a, deepest, rng, parity=parity,
+                                         stops=stops, at_stop=conjugate_cut))
     else:
-        left, right, row_perm, col_perm, row_ret, col_ret = two_basis_sweep(a, core_size, rng)
-    hbar = unpermute(a, row_perm, col_perm)
-    rows, cols = (np.sort(p[:core_size]) for p in (row_perm, col_perm))
-    lossless = Sparsifier(TOP_N, m=n * n)
-    h = truncate(hbar, rows, cols) if truncate else sparsify(hbar, rows, cols, lossless)
-    return Factorization(n, left, right, h, row_ret, col_ret, conjugate)
+        cut(*two_basis_sweep(a, deepest, rng, stops=stops, at_stop=cut))
+    return out
 
 
 def factor_direct(A, core_size, sparsifier, seed, truncate=True):
@@ -96,18 +135,22 @@ def factor_direct(A, core_size, sparsifier, seed, truncate=True):
 
     sparsifier: a cores.Sparsifier; its entry budget m defaults to n - d.
     truncate=False keeps the full rotated matrix in H regardless of the
-    sparsifier (lossless round trip).
+    sparsifier (lossless round trip). core_size may be a tuple of core
+    sizes with a matching tuple of sparsifiers: one sweep then serves them
+    all, and a tuple of Factorizations comes back, each bit for bit the
+    one its own call would return.
     """
-    if not 1 <= core_size <= A.n:
-        raise ValueError(f"core_size must be in [1, {A.n}]")
-    if not isinstance(sparsifier, Sparsifier):
+    sizes, rules = sizes_of(core_size), sizes_of(sparsifier)
+    if len(rules) != len(sizes):
+        raise ValueError("give one sparsifier per core size")
+    if not all(isinstance(rule, Sparsifier) for rule in rules):
         raise TypeError("sparsifier must be a cores.Sparsifier")
 
-    def rule(h, rows, cols):
-        return sparsify(h, rows, cols, sparsifier)
+    def truncation(rule):
+        return (lambda h, rows, cols: sparsify(h, rows, cols, rule)) if truncate else None
 
-    return sweep_and_truncate(A, core_size, seed, parity=None,
-                              truncate=rule if truncate else None)
+    cuts = [(d, truncation(rule)) for d, rule in zip(sizes, rules)]
+    return shaped_like(core_size, sweep_and_truncate(A, cuts, seed, parity=None))
 
 
 def reconstruct(F):

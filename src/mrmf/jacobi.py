@@ -28,7 +28,10 @@ reads or writes, get them at the end of the sweep in one blocked pass
 deferral changes no bit of the result. Each sweep draws all its pivots with
 one ``rng.integers(highs)`` call, the same stream as one scalar draw per
 level, so a sweep to a smaller core size repeats the levels of a shallower
-one and continues.
+one and continues. A sweep can therefore pause at larger core sizes
+(``stops``): there it replays the tail so far in place, which no later
+level reads, and hands its caller the state a sweep to that size returns,
+so one sweep serves every core size of one seed.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ def _retired(perm, levels):
     return perm[::-1][:levels].copy()
 
 
-def conjugation_sweep(a, core_size, rng, *, parity):
+def conjugation_sweep(a, core_size, rng, *, parity, stops=(), at_stop=None):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
     a is symmetric (parity False) or skew-symmetric (parity True); the
@@ -203,40 +206,67 @@ def conjugation_sweep(a, core_size, rng, *, parity):
     place; on exit a holds the rotated matrix with rows and columns
     permuted identically by the returned label array.
 
+    stops holds core sizes in (max(core_size, 1), n] to pause at on the way:
+    before the level at a stop's active size, the sweep replays its
+    deferred tail and calls at_stop(rotations, perm, retired_labels). That
+    is what a sweep to the stop's core size returns, bit for bit, and a
+    then holds that sweep's matrix; the caller reads a and perm during the
+    call and keeps neither, since the sweep goes on mutating both.
+
     Returns (rotations, perm, retired_labels).
     """
     n = a.shape[0]
     perm = np.arange(n)
     highs = np.arange(n, max(core_size, 1), -1)
-    tail = []
-    rotations = np.array([_level(a, k, k, ip, perm, parity=parity, tail=tail)
-                          for k, ip in zip(highs.tolist(), rng.integers(highs).tolist())],
-                         dtype=ROTATION)
-    _replay_tail(a, tail)
-    return rotations, perm, _retired(perm, len(rotations))
+    rotations, tail = [], []
+
+    def state():
+        _replay_tail(a, tail)
+        tail.clear()
+        done = np.array(rotations, dtype=ROTATION)
+        return done, perm, _retired(perm, len(done))
+
+    for k, ip in zip(highs.tolist(), rng.integers(highs).tolist()):
+        if k in stops:
+            at_stop(*state())
+        rotations.append(_level(a, k, k, ip, perm, parity=parity, tail=tail))
+    return state()
 
 
-def two_basis_sweep(a, core_size, rng):
+def two_basis_sweep(a, core_size, rng, stops=(), at_stop=None):
     """Independent left/right greedy sweep: a <- P^T a, a <- a Q per level.
 
     Runs n - core_size levels; each level rotates and retires one row, then
     one column (the column phase sees the already-shrunk row set). Mutates
     `a`; rows end permuted by row_perm and columns by col_perm.
 
+    stops holds core sizes in (core_size, n] to pause at on the way:
+    before the level at a stop's active size, the sweep replays its
+    deferred tail and calls at_stop with what a sweep to that core size
+    returns, bit for bit, while a holds that sweep's matrix (see
+    conjugation_sweep).
+
     Returns (left, right, row_perm, col_perm, row_retired, col_retired).
     """
     n = a.shape[0]
     row_perm, col_perm = np.arange(n), np.arange(n)
     left, right, tail = [], [], []
+
+    def state():
+        _replay_tail(a, tail)
+        tail.clear()
+        done = [np.array(side, dtype=ROTATION) for side in (left, right)]
+        return (*done, row_perm, col_perm,
+                _retired(row_perm, len(left)), _retired(col_perm, len(right)))
+
     levels = np.arange(n, core_size, -1)
     pivots = rng.integers(np.repeat(levels, 2)).reshape(-1, 2).tolist()
     for k, (ip, ipc) in zip(levels.tolist(), pivots):
+        if k in stops:
+            at_stop(*state())
         left.append(_level(a, k, k, ip, row_perm))
         right.append(_level(a.T, k, k - 1, ipc, col_perm, tail=tail))
-    _replay_tail(a, tail)
-    left, right = (np.array(side, dtype=ROTATION) for side in (left, right))
-    return (left, right, row_perm, col_perm,
-            _retired(row_perm, len(left)), _retired(col_perm, len(right)))
+    return state()
 
 
 def unpermute(a, row_perm, col_perm):

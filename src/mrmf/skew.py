@@ -10,7 +10,7 @@ by greedy magnitude matching.
 from __future__ import annotations
 
 from .cores import murnaghan_sparsify
-from .direct import sweep_and_truncate
+from .direct import shaped_like, sizes_of, sweep_and_truncate
 
 
 def _pairs(h, rows, cols):
@@ -26,9 +26,9 @@ def factor_skew(K, core_size, seed, truncate=True):
     stored with its exact mirror (q, p, -v) and no index appears in two
     pairs; truncate=False keeps the rotated matrix verbatim instead, the
     unpermuted working matrix after the first n - core_size levels of any
-    deeper run.
+    deeper run. A tuple of core sizes gives a tuple of factorizations from
+    one sweep, each bit for bit the one its own call would return.
     """
-    if not 0 <= core_size <= K.n:
-        raise ValueError(f"core_size must be in [0, {K.n}]")
     rule = _pairs if truncate else None
-    return sweep_and_truncate(K, core_size, seed, parity=True, truncate=rule)
+    cuts = [(d, rule) for d in sizes_of(core_size)]
+    return shaped_like(core_size, sweep_and_truncate(K, cuts, seed, parity=True))

@@ -11,7 +11,7 @@ off-diagonal residual is smaller.
 from __future__ import annotations
 
 from .cores import CORE_DIAGONAL, Sparsifier, sparsify
-from .direct import sweep_and_truncate
+from .direct import shaped_like, sizes_of, sweep_and_truncate
 
 
 def _corediag(h, rows, cols):
@@ -23,9 +23,9 @@ def factor_symmetric(A, core_size, seed, truncate=True):
 
     truncate=False keeps the full rotated matrix in H (lossless): the
     unpermuted working matrix after the first n - core_size levels of any
-    deeper run.
+    deeper run. A tuple of core sizes gives a tuple of factorizations from
+    one sweep, each bit for bit the one its own call would return.
     """
-    if not 1 <= core_size <= A.n:
-        raise ValueError(f"core_size must be in [1, {A.n}]")
     rule = _corediag if truncate else None
-    return sweep_and_truncate(A, core_size, seed, parity=False, truncate=rule)
+    cuts = [(d, rule) for d in sizes_of(core_size)]
+    return shaped_like(core_size, sweep_and_truncate(A, cuts, seed, parity=False))

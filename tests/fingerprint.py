@@ -122,7 +122,7 @@ def factor_rows(wl, work):
         if status != 0:
             raise RuntimeError(f"mrmf {' '.join(argv)} exited {status}")
         got = json.loads(report.read_text())
-        seed = bench.run_seed(0, meta, method, FACTOR_FRACTION, 0)
+        seed = bench.run_seed(0, meta, method, 0)
         out.append(_row(f"factor/{path.stem}/{method}@{FACTOR_FRACTION:g}", seed,
                         got["size_param"], got["storage_scalars"], got["budget_scalars"],
                         got["error"]))

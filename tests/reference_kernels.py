@@ -76,7 +76,7 @@ def _swap_cols(a, perm, p, q):
         perm[[p, q]] = perm[[q, p]]
 
 
-def conjugation_sweep(a, core_size, rng, parity=None):
+def conjugation_sweep(a, core_size, rng, parity=None, stops=(), at_stop=None):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
     parity is accepted for the package's signature and unused: the full
@@ -84,7 +84,9 @@ def conjugation_sweep(a, core_size, rng, parity=None):
 
     Runs until core_size positions stay active (but never below one). Mutates
     `a` in place; on exit a holds the rotated matrix with rows and columns
-    permuted identically by the returned label array.
+    permuted identically by the returned label array. Nothing is deferred,
+    so at each active size k in stops, before that level, the state so far
+    goes to at_stop(rotations, perm, retired_labels) as it stands.
 
     Returns (rotations, perm, retired_labels).
     """
@@ -95,6 +97,8 @@ def conjugation_sweep(a, core_size, rng, parity=None):
     rotations = []
     retired = []
     while k > stop:
+        if k in stops:
+            at_stop(list(rotations), perm, list(retired))
         ip = int(rng.integers(k))
         sims = a[:k, :k] @ a[ip, :k]
         g_ii = float(sims[ip])
@@ -120,12 +124,14 @@ def conjugation_sweep(a, core_size, rng, parity=None):
     return rotations, perm, retired
 
 
-def two_basis_sweep(a, core_size, rng):
+def two_basis_sweep(a, core_size, rng, stops=(), at_stop=None):
     """Independent left/right greedy sweep: a <- P^T a, a <- a Q per level.
 
     Runs n - core_size levels; each level rotates and retires one row, then
     one column (the column phase sees the already-shrunk row set). Mutates
-    `a`; rows end permuted by row_perm and columns by col_perm.
+    `a`; rows end permuted by row_perm and columns by col_perm. At each
+    active size in stops, before that level, the state so far goes to
+    at_stop in the returned form.
 
     Returns (left, right, row_perm, col_perm, row_retired, col_retired).
     """
@@ -136,6 +142,9 @@ def two_basis_sweep(a, core_size, rng):
     left, right = [], []
     row_retired, col_retired = [], []
     for _ in range(n - core_size):
+        if kr in stops:
+            at_stop(list(left), list(right), row_perm, col_perm,
+                    list(row_retired), list(col_retired))
         # row phase: partner by row similarity over active columns
         ip = int(rng.integers(kr))
         sims = a[:kr, :kc] @ a[ip, :kc]

@@ -102,7 +102,7 @@ def test_factor_local_mtx_with_report(cli_env, capsys):
     # the report is a pure function of (matrix, method, fraction, seed)
     A, _ = parse_matrix_market(mtx.read_bytes())
     scalars = StorageBudget(0.3).scalars(A)
-    seed = derive_seed(0, "/", "direct-greedytopn", repr(0.3), 0)
+    seed = derive_seed(0, "/", "direct", 0)  # the direct route's trial 0
     err, storage, param = compression_error(A, "direct-greedytopn", scalars, seed)
     assert report["error"] == err
     assert report["storage_scalars"] == storage
@@ -163,6 +163,39 @@ def test_factor_by_name_repeats_the_sweeps_first_trial(cli_env, capsys, tmp_path
     assert report["error"] == row["error"]
     assert report["storage_scalars"] == row["storage"]
     assert report["size_param"] == row["param"]
+
+
+def test_factor_equals_trial_zero_of_a_sweep_of_every_method(tmp_path, capsys):
+    # in the sweep, the direct methods share one sweep and the additive
+    # fractions one per half; factor runs each alone, at the route's seed
+    cache = tmp_path / "cache"
+    (cache / "Test").mkdir(parents=True)
+    m = np.random.default_rng(3).standard_normal((20, 20))
+    (cache / "Test" / "general.mtx").write_bytes(write_matrix_market(SquareMatrix.from_dense(m)))
+    (tmp_path / "manifest.txt").write_text("Test/general\n")
+    fractions = (0.4, 0.7)
+    config = SweepConfig(
+        manifest=str(tmp_path / "manifest.txt"), methods=BENCH_METHODS, fractions=fractions,
+        trials=2, seed=6, output=str(tmp_path / "sweep.csv"), cache_dir=str(cache),
+        max_workers=2,
+    )
+    result = run_sweep(config)
+    assert result.failures == ()
+    rows = {(r["method"], r["fraction"]): r for r in result.rows if r["trial"] == 0}
+    assert len(rows) == len(BENCH_METHODS) * len(fractions)
+    for (method, fraction), row in rows.items():
+        out = tmp_path / f"{method}-{fraction}.json"
+        rc = main([
+            "factor", "--matrix", "Test/general", "--method", method,
+            "--fraction", repr(fraction), "--seed", "6", "--cache-dir", str(cache),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        got = (report["budget_scalars"], report["storage_scalars"], report["size_param"],
+               report["error"])
+        assert got == (row["budget"], row["storage"], row["param"], row["error"]), method
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("fraction, scalars", [(0.1, 26), (0.3, 77)])
