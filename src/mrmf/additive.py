@@ -101,7 +101,7 @@ def factor_additive(A, budget, seed):
 
 
 def reconstruct_additive(F):
-    """Sum of the two half reconstructions."""
-    sym, skew = (two_basis_reconstruct(half.H.to_dense(), half.left, half.right)
-                 for half in (F.sym, F.skew))
-    return SquareMatrix.from_dense(sym + skew)
+    """Sum of the two half reconstructions, formed in the symmetric one's buffer."""
+    total = two_basis_reconstruct(F.sym.H, F.sym.left, F.sym.right)
+    total += two_basis_reconstruct(F.skew.H, F.skew.left, F.skew.right)
+    return SquareMatrix._owning(total)

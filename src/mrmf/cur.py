@@ -101,12 +101,12 @@ def cur_decompose(A, r, seed):
 
 
 def reconstruct_cur(f):
-    return SquareMatrix.from_dense(f.C @ f.U @ f.R)
+    return SquareMatrix._owning(f.C @ f.U @ f.R)
 
 
 def cur_relative_error(A, f):
     """Relative Frobenius residual of the CUR approximant against A."""
-    return frobenius_relative_error(A, SquareMatrix.from_dense(f.C @ (f.U @ f.R)))
+    return frobenius_relative_error(A, SquareMatrix._owning(f.C @ (f.U @ f.R)))
 
 
 def hybrid_compress(A, r, k, seed):

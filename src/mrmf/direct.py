@@ -78,15 +78,17 @@ def sweep_and_truncate(A, cuts, seed, parity):
     """Sweep A once and cut one Factorization per (core_size, truncate) pair.
 
     parity None runs two_basis_sweep. False (symmetric) or True (skew) runs
-    conjugation_sweep after check_parity has passed on the working copy, so
-    a wrong-parity input raises before any level. The sweep runs to the
-    smallest core size and stops at each larger one; a conjugation sweep
-    ends at one active index, so there core sizes 0 and 1 are one stop. At
-    each stop the rotated matrix is unpermuted once, and every cut at that
-    stop truncates it: truncate(h, rows, cols) turns it and the surviving
-    core sets into the stored CoreSparse; None keeps every entry (topn with
-    m = n * n), the lossless form. So one n x n snapshot is alive at a time,
-    and each cut is bit for bit the one a sweep of its own would give.
+    conjugation_sweep after check_parity has passed on A, so a wrong-parity
+    input raises before any level. The sweep runs to the smallest core size
+    and stops at each larger one; a conjugation sweep ends at one active
+    index, so there core sizes 0 and 1 are one stop. At each stop the
+    rotated matrix is unpermuted once, and every cut at that stop truncates
+    it: truncate(h, rows, cols) turns it and the surviving core sets into
+    the stored CoreSparse; None keeps every entry (topn with m = n * n), the
+    lossless form. So one n x n snapshot is alive at a time, and each cut is
+    bit for bit the one a sweep of its own would give. The working copy is
+    dropped once the last stop is unpermuted, before its cuts truncate, so
+    for a COO input at most two n x n arrays are alive here.
 
     Returns the factorizations in the order of cuts. Each core size must
     lie in [1, n], or [0, n] for a skew sweep.
@@ -96,19 +98,24 @@ def sweep_and_truncate(A, cuts, seed, parity):
     for d, _ in cuts:
         if not lo <= d <= n:
             raise ValueError(f"core_size must be in [{lo}, {n}]")
+    conjugate = parity is not None
+    if conjugate:
+        check_parity(A, skew=parity)
     a = A.to_dense()
     if A.is_sparse:  # a fresh array no one else holds: sweep it in place
         a.flags.writeable = True
     else:
         a = a.copy()
     rng = np.random.default_rng(seed)
-    conjugate = parity is not None
     lossless = Sparsifier(TOP_N, m=n * n)
     stop_of = [max(d, 1) if conjugate else d for d, _ in cuts]
     out = [None] * len(cuts)
 
-    def cut(left, right, row_perm, col_perm, row_ret, col_ret):
+    def cut(left, right, row_perm, col_perm, row_ret, col_ret, last=False):
+        nonlocal a
         hbar = unpermute(a, row_perm, col_perm)
+        if last:  # the sweep is over; an intermediate stop keeps a, since it goes on
+            a = None
         for k, (d, truncate) in enumerate(cuts):
             if stop_of[k] == n - len(left):
                 rows, cols = (np.sort(p[:d]) for p in (row_perm, col_perm))
@@ -118,15 +125,13 @@ def sweep_and_truncate(A, cuts, seed, parity):
     deepest = min(d for d, _ in cuts)
     stops = set(stop_of) - {min(stop_of)}
     if conjugate:
-        check_parity(a, skew=parity)
-
-        def conjugate_cut(rotations, perm, retired):
-            cut(rotations, rotations, perm, perm, retired, retired)
+        def conjugate_cut(rotations, perm, retired, last=False):
+            cut(rotations, rotations, perm, perm, retired, retired, last)
 
         conjugate_cut(*conjugation_sweep(a, deepest, rng, parity=parity,
-                                         stops=stops, at_stop=conjugate_cut))
+                                         stops=stops, at_stop=conjugate_cut), last=True)
     else:
-        cut(*two_basis_sweep(a, deepest, rng, stops=stops, at_stop=cut))
+        cut(*two_basis_sweep(a, deepest, rng, stops=stops, at_stop=cut), last=True)
     return out
 
 
@@ -155,4 +160,4 @@ def factor_direct(A, core_size, sparsifier, seed, truncate=True):
 
 def reconstruct(F):
     """Dense reconstruction P H Q^T of the matrix a Factorization implies."""
-    return SquareMatrix.from_dense(two_basis_reconstruct(F.H.to_dense(), F.left, F.right))
+    return SquareMatrix._owning(two_basis_reconstruct(F.H.to_dense(), F.left, F.right))

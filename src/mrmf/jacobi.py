@@ -40,6 +40,7 @@ import math
 
 import numpy as np
 
+from .cores import CoreSparse
 from .matrices import ROTATION, givens_from_gram2
 
 # up to the floor a sweep stays bit for bit the full product's, so small
@@ -52,6 +53,8 @@ _SUPPORT_RATIO = 48
 # rows of the retired tail replayed per block: the transposed block copy
 # holds at most n x _REPLAY_ROWS doubles
 _REPLAY_ROWS = 512
+# side of the square tiles an in-place transpose swaps
+_TILE = 128
 
 
 def _argmax_by_label(scores, labels):
@@ -286,20 +289,50 @@ def _unrotate_rows(m, rotations):
         _rotate(m[i], m[j], math.cos(-theta), math.sin(-theta))
 
 
+def _transpose_in_place(m):
+    """m <- m^T for a square array, by swapping _TILE x _TILE tiles.
+
+    Pure data movement: no entry changes, and only one tile is copied at a
+    time, so the transpose needs no second n x n array.
+    """
+    n = m.shape[0]
+    for r0 in range(0, n, _TILE):
+        r1 = min(r0 + _TILE, n)
+        diag = m[r0:r1, r0:r1]
+        diag[...] = diag.T.copy()
+        for c0 in range(r1, n, _TILE):
+            c1 = min(c0 + _TILE, n)
+            upper = m[r0:r1, c0:c1].copy()
+            m[r0:r1, c0:c1] = m[c0:c1, r0:r1].T
+            m[c0:c1, r0:r1] = upper.T
+
+
 def _reconstruct(h, left, right):
-    """Undo the left rotations on the rows of h, then the right ones on its columns."""
-    m = np.array(h, dtype=np.float64)
+    """Undo the left rotations on the rows of h, then the right ones on its columns.
+
+    h is a dense array, which is copied and left untouched, or a stored
+    cores.CoreSparse, whose fresh dense form is the buffer. All the work
+    runs in that one C-ordered buffer: the right rotations are undone on its
+    rows after an in-place transpose, and its transposed view is returned.
+    """
+    m = h.to_dense() if isinstance(h, CoreSparse) else np.array(h, dtype=np.float64, order="C")
     _unrotate_rows(m, left)
-    m = np.ascontiguousarray(m.T)
+    _transpose_in_place(m)
     _unrotate_rows(m, right)
     return m.T
 
 
 def conjugate_reconstruct(h, rotations):
-    """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order."""
+    """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order.
+
+    h is a dense array or a stored core; see _reconstruct.
+    """
     return _reconstruct(h, rotations, rotations)
 
 
 def two_basis_reconstruct(h, left, right):
-    """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders."""
+    """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders.
+
+    h is a dense array or a stored core; see _reconstruct.
+    """
     return _reconstruct(h, left, right)

@@ -45,10 +45,20 @@ class SquareMatrix:
 
     @classmethod
     def from_dense(cls, values):
-        arr = _as_float_array(values)
+        return cls._owning(np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _owning(cls, arr):
+        """Wrap a fresh float64 array that no one else holds, without a copy.
+
+        The array must be square and finite; it is marked read-only, and
+        the caller keeps no writable reference to it.
+        """
+        _as_float_array(arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MatrixFormatError(f"expected a square 2-d array, got shape {arr.shape}")
-        return cls(arr.shape[0], dense=frozen(arr, np.float64))
+        arr.flags.writeable = False
+        return cls(arr.shape[0], dense=arr)
 
     @classmethod
     def from_coo(cls, n, rows, cols, values):
@@ -184,25 +194,52 @@ def split_symmetric_skew(A):
             SquareMatrix.from_coo(n, r, c, (a - t) * 0.5),
         )
     a = A.to_dense()
-    return (
-        SquareMatrix.from_dense((a + a.T) * 0.5),
-        SquareMatrix.from_dense((a - a.T) * 0.5),
-    )
+    s, k = a + a.T, a - a.T
+    s *= 0.5
+    k *= 0.5
+    return SquareMatrix._owning(s), SquareMatrix._owning(k)
 
 
 def frobenius_relative_error(A, B):
-    """||A - B||_F / ||A||_F. Raises on shape mismatch or zero A."""
+    """||A - B||_F / ||A||_F. Raises on shape mismatch or zero A.
+
+    A COO A is densified into a fresh array, and A - B is formed in that
+    array; a dense A keeps its stored array and the difference gets its own.
+    """
     if A.n != B.n:
         raise ValueError("matrix dimensions differ")
     a = A.to_dense()
-    d = a - B.to_dense()
     # einsum sums the squares in its own fixed order, where np.linalg.norm
     # calls a BLAS dot whose result depends on the BLAS thread count
-    num = float(np.einsum("ij,ij->", d, d))
     den = float(np.einsum("ij,ij->", a, a))
+    if A.is_sparse:
+        a.flags.writeable = True
+        d = np.subtract(a, B.to_dense(), out=a)
+    else:
+        d = a - B.to_dense()
+    num = float(np.einsum("ij,ij->", d, d))
     if den == 0.0:
         raise ValueError("relative error undefined for a zero reference matrix")
     return math.sqrt(num) / math.sqrt(den)
+
+
+def _with_mirrors(rows, cols, vals, n):
+    """(v, t): the entries' values, and the value at each one's mirror
+    position (0 where it holds no entry), both in ascending mirror order.
+
+    rows and cols must be sorted row-major, as to_coo() returns them for
+    both storage forms. The mirror codes are looked up in ascending
+    (column-major) order, so the binary searches walk the codes front to
+    back instead of at random.
+    """
+    codes, mirror = rows * n + cols, cols * n + rows
+    order = np.argsort(mirror)
+    mirror = mirror[order]
+    pos = np.searchsorted(codes, mirror)
+    np.minimum(pos, codes.size - 1, out=pos)
+    t = vals[pos]
+    t[codes[pos] != mirror] = 0.0
+    return vals[order], t
 
 
 def numerical_symmetry(A):
@@ -216,26 +253,29 @@ def numerical_symmetry(A):
     rows, cols, vals = rows[off], cols[off], vals[off]
     if rows.size == 0:
         return 1.0
-    n = A.n
-    codes = rows * n + cols  # sorted: to_coo() is row-major for both storage forms
-    # look the mirror codes up in ascending (column-major) order, so the
-    # binary searches walk `codes` front to back instead of at random
-    mirror = cols * n + rows
-    order = np.argsort(mirror)
-    mirror = mirror[order]
-    pos = np.minimum(np.searchsorted(codes, mirror), codes.size - 1)
-    matched = (codes[pos] == mirror) & (vals[pos] == vals[order])
-    return float(np.count_nonzero(matched) / rows.size)
+    # to_coo() keeps no zeros, so a value equals its mirror's only when the
+    # mirror is an entry
+    v, t = _with_mirrors(rows, cols, vals, A.n)
+    return float(np.count_nonzero(v == t) / rows.size)
 
 
-def check_parity(a, skew):
-    """Raise unless the dense array a equals a.T (or -a.T when skew) to 1e-12.
+def check_parity(A, skew):
+    """Raise unless A equals A^T (or -A^T when skew) to 1e-12.
 
-    The deviation is relative to a's largest magnitude (max-norm).
+    The deviation max |a_ij -+ a_ji| is relative to A's largest magnitude
+    (max-norm). COO input is checked on its triplets, each entry against its
+    mirror, and is never densified: a position missing from both sides
+    deviates by 0, and |a_ij -+ a_ji| is the same number at (i, j) and
+    (j, i), so the maximum is the dense one.
     """
+    if A.is_sparse:
+        a, t = _with_mirrors(*A.to_coo(), A.n)
+    else:
+        a = A.to_dense()
+        t = a.T
     if not a.size:
         return
-    dev = np.add(a, a.T) if skew else np.subtract(a, a.T)
+    dev = np.add(a, t) if skew else np.subtract(a, t)
     dev = np.max(np.abs(dev, out=dev))
     if dev > 1e-12 * np.max(np.abs(a)):
         kind = "skew-symmetric" if skew else "symmetric"

@@ -296,14 +296,20 @@ def test_relative_error_rejects_zero_reference():
 
 
 def test_relative_error_coo_equals_dense():
+    # a COO A - B is formed in A's fresh dense array: same bits, no input touched
     rng = np.random.default_rng(9)
-    a = np.where(rng.random((6, 6)) < 0.4, rng.standard_normal((6, 6)), 0.0)
-    a[0, 0] = 1.0
-    b = rng.standard_normal((6, 6))
-    r, c = np.nonzero(a)
-    coo = SquareMatrix.from_coo(6, r, c, a[r, c])
-    assert coo.is_sparse
-    assert frobenius_relative_error(coo, dense(b)) == frobenius_relative_error(dense(a), dense(b))
+    for n, order in ((6, "C"), (1, "C"), (300, "C"), (300, "F")):
+        a = np.where(rng.random((n, n)) < 0.4, rng.standard_normal((n, n)), 0.0)
+        a[0, 0] = 1.0
+        B = dense(np.array(rng.standard_normal((n, n)), order=order))
+        b = B.to_dense().tobytes()
+        r, c = np.nonzero(a)
+        coo = SquareMatrix.from_coo(n, r, c, a[r, c])
+        assert coo.is_sparse
+        triplets = [x.tobytes() for x in coo.to_coo()]
+        assert frobenius_relative_error(coo, B) == frobenius_relative_error(dense(a), B)
+        assert B.to_dense().tobytes() == b
+        assert [x.tobytes() for x in coo.to_coo()] == triplets
 
 
 def test_relative_error_rejects_dimension_mismatch():

@@ -142,7 +142,7 @@ def test_support_product_runs_above_the_floor(above_floor, monkeypatch):
 @pytest.mark.parametrize("method, densified", (("additive", 3), ("direct-greedytopn", 2)))
 def test_coo_input_is_densified_once_per_sweep(method, densified, monkeypatch):
     # one dense working copy per sweep (two halves for additive), plus the
-    # error against A; the parity check reads the sweep's working copy
+    # error against A; the parity check reads a COO input's triplets
     A = _parsed(600, 22)
     calls = []
     to_dense = SquareMatrix.to_dense
@@ -167,5 +167,7 @@ def test_wrong_parity_raises_before_any_level(factor, wrong, monkeypatch):
 
     monkeypatch.setattr(jacobi, "_level", no_level)
     kind = "symmetric" if factor is factor_symmetric else "skew-symmetric"
-    with pytest.raises(ValueError, match=f"matrix is not {kind}"):
-        factor(SquareMatrix.from_dense(a), 4, seed=0)
+    r, c = np.nonzero(a)
+    for A in (SquareMatrix.from_dense(a), SquareMatrix.from_coo(a.shape[0], r, c, a[r, c])):
+        with pytest.raises(ValueError, match=f"matrix is not {kind}"):
+            factor(A, 4, seed=0)
