@@ -1,6 +1,7 @@
 """Matrix Market parsing/writing, collection fetching, synthetic generators."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,6 +56,22 @@ def test_parse_scrapes_name_and_kind():
     _, meta = parse_matrix_market(fx.text)
     assert meta.name == "toy1"
     assert meta.kind == "directed weighted graph"
+
+
+def test_parse_keeps_non_ascii_comment_text():
+    # a str keeps its comment text; each non-ASCII byte of a bytes input
+    # reads as U+FFFD (the UTF-8 "ø" is two bytes)
+    text = (
+        "%%MatrixMarket matrix coordinate real general\r\n"
+        "% name: Grp/tøy\r\n"
+        "% kind: grafø\r\n"
+        "2 2 1\r\n"
+        "1 1 1.0 % ø\r\n"
+    )
+    _, meta = parse_matrix_market(text)
+    assert (meta.group, meta.name, meta.kind) == ("Grp", "tøy", "grafø")
+    _, meta = parse_matrix_market(text.encode())
+    assert (meta.group, meta.name, meta.kind) == ("Grp", "t\ufffd\ufffdy", "graf\ufffd\ufffd")
 
 
 def test_parse_symmetric_metadata_symmetry():
@@ -144,6 +161,42 @@ def test_parse_refuses_index_truncated_with_a_warning(monkeypatch):
     monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
     with pytest.raises(MatrixFormatError, match="malformed"):
         parse_matrix_market("%%MatrixMarket matrix coordinate real general\n2 2 1\n2.9 1 1.0\n")
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# On 100k entries parse peaks at 3.4x the text and write at 2.9x the output.
+# The bounds leave room across numpy versions and stay below the 9.7x and
+# 5.8x of a whole-text decode and of a tuple of every field.
+
+
+@pytest.fixture(scope="module")
+def text_100k():
+    n = 2000
+    rng = np.random.default_rng(5)
+    codes = np.sort(rng.choice(n * n, size=100_000, replace=False))
+    vals = rng.standard_normal(codes.size).tolist()
+    body = "".join(f"{c // n + 1} {c % n + 1} {v:.17g}\n" for c, v in zip(codes.tolist(), vals))
+    return f"%%MatrixMarket matrix coordinate real general\n{n} {n} {codes.size}\n{body}".encode()
+
+
+def test_parse_peak_memory_is_a_few_times_the_text(text_100k):
+    (A, _), peak = _traced_peak(parse_matrix_market, text_100k)
+    assert A.nnz == 100_000
+    assert peak < 4.5 * len(text_100k), f"parse peak {peak / len(text_100k):.2f}x the text"
+
+
+def test_write_peak_memory_is_a_few_times_the_output(text_100k):
+    A, _ = parse_matrix_market(text_100k)
+    out, peak = _traced_peak(write_matrix_market, A)
+    assert out == text_100k
+    assert peak < 3.5 * len(out), f"write peak {peak / len(out):.2f}x the output"
 
 
 # ---------------------------------------------------------------- fetching
