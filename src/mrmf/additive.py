@@ -46,7 +46,9 @@ def _empty(n):
 
 def _sq_mass(M):
     _, _, vals = M.to_coo()
-    return float(np.dot(vals, vals))
+    # einsum sums the squares in its own fixed order, where np.dot calls a
+    # BLAS dot whose result depends on the BLAS thread count
+    return float(np.einsum("i,i->", vals, vals))
 
 
 def half_masses(A):

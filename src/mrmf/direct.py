@@ -27,8 +27,9 @@ class Factorization:
     left and right are matrices.ROTATION record arrays in application order;
     row_retired/col_retired are int64 arrays of the label removed at each
     level, so the active sets are recoverable for any level prefix. Each is
-    stored as a read-only copy. With conjugate, right and col_retired equal
-    left and row_retired, and the core row and column sets are one set.
+    stored as a read-only copy. With conjugate, right and col_retired are
+    left and row_retired themselves, one array for both sides, and the core
+    row and column sets are one set.
     """
 
     n: int
@@ -43,6 +44,9 @@ class Factorization:
         for name, dtype in (("left", ROTATION), ("right", ROTATION),
                             ("row_retired", np.int64), ("col_retired", np.int64)):
             object.__setattr__(self, name, frozen(getattr(self, name), dtype))
+        if self.conjugate:  # so a reconstruction schedules the waves once
+            object.__setattr__(self, "right", self.left)
+            object.__setattr__(self, "col_retired", self.row_retired)
 
     @property
     def core_rows(self):
@@ -160,4 +164,4 @@ def factor_direct(A, core_size, sparsifier, seed, truncate=True):
 
 def reconstruct(F):
     """Dense reconstruction P H Q^T of the matrix a Factorization implies."""
-    return SquareMatrix._owning(two_basis_reconstruct(F.H.to_dense(), F.left, F.right))
+    return SquareMatrix._owning(two_basis_reconstruct(F.H, F.left, F.right))

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from mrmf.cores import CoreSparse
 from mrmf.matrices import givens_from_gram2
 
 
@@ -182,9 +183,16 @@ def two_basis_sweep(a, core_size, rng, stops=(), at_stop=None):
     return left, right, row_perm, col_perm, row_retired, col_retired
 
 
+def _dense(h):
+    return h.to_dense() if isinstance(h, CoreSparse) else h
+
+
 def conjugate_reconstruct(h, rotations):
-    """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order."""
-    m = np.array(h, dtype=np.float64)
+    """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order.
+
+    h is a dense array or a stored cores.CoreSparse, densified on entry.
+    """
+    m = np.array(_dense(h), dtype=np.float64)
     for i, j, theta in reversed(rotations):
         rotate_rows_inplace(m, i, j, -theta)
         rotate_cols_inplace(m, i, j, -theta)
@@ -192,8 +200,11 @@ def conjugate_reconstruct(h, rotations):
 
 
 def two_basis_reconstruct(h, left, right):
-    """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders."""
-    m = np.array(h, dtype=np.float64)
+    """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders.
+
+    h is a dense array or a stored cores.CoreSparse, densified on entry.
+    """
+    m = np.array(_dense(h), dtype=np.float64)
     for i, j, theta in reversed(left):
         rotate_rows_inplace(m, i, j, -theta)
     for i, j, theta in reversed(right):

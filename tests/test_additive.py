@@ -1,8 +1,14 @@
 """Additive split factorization: budget sharing and Pythagorean errors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mrmf
 from mrmf import (
     BudgetError,
     SquareMatrix,
@@ -164,3 +170,30 @@ def test_storage_is_sum_of_halves():
     A = random_general(10, seed=19)
     F = factor_additive(A, 160, seed=7)
     assert F.storage_scalars == F.sym.storage_scalars + F.skew.storage_scalars
+
+
+HALF_MASSES = """
+import numpy as np
+from mrmf import SquareMatrix
+from mrmf.additive import half_masses
+rng = np.random.default_rng(1)
+n = 2000
+a = np.zeros((n, n))
+rows, cols = rng.integers(0, n, size=(2, 6 * n))
+a[rows, cols] = rng.standard_normal(6 * n)
+rows, cols = np.nonzero(a)
+print([m.hex() for m in half_masses(SquareMatrix.from_coo(n, rows, cols, a[rows, cols]))])
+"""
+
+
+def test_half_masses_do_not_depend_on_blas_threads():
+    # each half holds about 24,000 stored values, past the length at which
+    # a BLAS dot splits its sum across threads; the masses set the budget split
+    src = str(Path(mrmf.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", HALF_MASSES], env=env,
+                             capture_output=True, text=True, check=True)
+        printed.append(run.stdout)
+    assert printed[0] == printed[1]

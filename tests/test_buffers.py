@@ -3,7 +3,8 @@
 With a COO input a direct, symmetric, skew or additive run keeps at most
 two n x n arrays alive at once: at a sweep stop the working copy and its
 unpermuted snapshot, at the error the densified input and the
-reconstruction. These tests pin that bound and the contracts the owned
+reconstruction; a reconstruction alone holds its one buffer and a wave
+batch. These tests pin those bounds and the contracts the owned
 buffers rest on: a reconstruction never writes to an array its caller
 passed, the in-place transpose only moves data, and the parity check of a
 COO input, which runs on its triplets, decides as the dense check does.
@@ -65,6 +66,20 @@ def test_compression_error_holds_at_most_two_and_a_half_arrays(method):
         tracemalloc.stop()
     assert 0.0 < err < 1.0 and storage <= scalars
     assert peak <= 2.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
+
+
+@pytest.mark.parametrize("n", [512, MEMORY_N])
+def test_reconstruct_holds_one_and_a_half_arrays(n):
+    # the buffer is built from the stored core, with no dense copy of H,
+    # and a wave batch adds at most 4 * jacobi._WAVE_PAIRS rows to it
+    F = factor_direct(_coo(_spread(n, 31)), n // 10, Sparsifier("topn"), seed=4)
+    tracemalloc.start()
+    try:
+        reconstruct(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n arrays"
 
 
 def test_coo_parity_check_never_densifies():
