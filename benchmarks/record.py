@@ -1,0 +1,106 @@
+"""Record benchmark runs in BENCH_<workload>.json at the root of a checkout.
+
+Run from anywhere in a checkout:
+
+    python3 benchmarks/record.py --seed 11
+    python3 benchmarks/record.py --seed 11 --workload sweep-n2000 --workload ingest-mtx
+
+For each workload (by default every one BENCHMARK.json declares) it runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
+
+once and appends one record to BENCH_W.json, a JSON list kept in run
+order: the git revision and whether the tree was dirty (the BENCH files
+themselves aside), the seed, the report's environment, the four
+end-to-end values, the pass walls, the error.* values, and correct and
+failed. A run whose output is not perfbench's two JSON lines is not
+recorded, and the exit code is 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = ("setup_s", "pass_s", "cpu_s", "peak_rss_mb")
+
+
+def workloads():
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def git_state():
+    """(revision, dirty) of the checkout, or (None, None) outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                              text=True, check=True).stdout
+    try:
+        revision = git("rev-parse", "HEAD").strip()
+        dirty = bool(git("status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json").strip())
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+    return revision, dirty
+
+
+def record_of(stdout, workload, seed, revision, dirty):
+    """The record of one perfbench run from its stdout: a {"report": ...}
+    line, then the metrics line."""
+    lines = stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise ValueError(f"expected perfbench's two JSON lines, got {len(lines)}")
+    report, result = json.loads(lines[-2])["report"], json.loads(lines[-1])
+    if report["workload"] != workload or report["seed"] != seed:
+        raise ValueError(f"output is of {report['workload']} seed {report['seed']}")
+    return {
+        "recorded_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "revision": revision,
+        "dirty": dirty,
+        "workload": workload,
+        "seed": seed,
+        "environment": report["environment"],
+        "end_to_end": {k: result["metrics"][k]["value"] for k in END_TO_END},
+        "pass_walls_s": report["pass_walls_s"],
+        "errors": {k: v["value"] for k, v in report["detail"].items() if k.startswith("error.")},
+        "correct": result["correct"],
+        "failed": result["failed"],
+    }
+
+
+def append(path, record):
+    records = json.loads(path.read_text()) if path.exists() else []
+    records.append(record)
+    path.write_text(json.dumps(records, indent=1) + "\n")
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workload", action="append", choices=workloads(),
+                   help="a workload to run (repeatable); default: all")
+    args = p.parse_args(argv)
+    revision, dirty = git_state()
+    status = 0
+    for workload in args.workload or workloads():
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(args.seed), "--seconds", "30", "--trace", "0"]
+        run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        try:
+            record = record_of(run.stdout, workload, args.seed, revision, dirty)
+        except (ValueError, KeyError) as exc:
+            print(f"{workload}: not recorded (exit {run.returncode}): {exc}\n{run.stderr}",
+                  file=sys.stderr)
+            status = 1
+            continue
+        append(ROOT / f"BENCH_{workload}.json", record)
+        print(f"{workload}: pass_s {record['end_to_end']['pass_s']:.3f}, "
+              f"correct {record['correct']}, failed {record['failed']}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -435,7 +435,7 @@ def sweep_csv(result):
 
     There is no timing column, so reruns at the same BLAS thread count are
     byte-identical; another thread count may change the last digits of the
-    errors.
+    errors, and a hybrid row's storage (see README).
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

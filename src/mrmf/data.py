@@ -215,13 +215,18 @@ def _entry_lines(rows, cols, vals):
 
 
 def _default_http_get(url):
-    import requests
+    # imported here: urllib.request brings in http.client, email and ssl,
+    # about 6 MB and 40 ms that no run without a download should pay
+    import urllib.error
+    import urllib.request
 
-    resp = requests.get(url, timeout=60.0)
-    if resp.status_code == 404:
-        raise MatrixNotFoundError(f"no such matrix in the collection: {url}")
-    resp.raise_for_status()
-    return resp.content
+    try:
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            return resp.read()
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404:
+            raise MatrixNotFoundError(f"no such matrix in the collection: {url}") from exc
+        raise
 
 
 def _extract_mtx(archive_bytes, name):

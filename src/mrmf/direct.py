@@ -78,7 +78,7 @@ def shaped_like(size, results):
     return tuple(results) if isinstance(size, tuple) else results[0]
 
 
-def sweep_and_truncate(A, cuts, seed, parity):
+def sweep_and_truncate(A, cuts, seed, parity, owned=False):
     """Sweep A once and cut one Factorization per (core_size, truncate) pair.
 
     parity None runs two_basis_sweep. False (symmetric) or True (skew) runs
@@ -92,7 +92,9 @@ def sweep_and_truncate(A, cuts, seed, parity):
     lossless form. So one n x n snapshot is alive at a time, and each cut is
     bit for bit the one a sweep of its own would give. The working copy is
     dropped once the last stop is unpermuted, before its cuts truncate, so
-    for a COO input at most two n x n arrays are alive here.
+    for a COO input at most two n x n arrays are alive here. owned says
+    that A's dense array is the caller's to give up (hybrid's fresh M =
+    CUR): the sweep then works in it, not in a copy.
 
     Returns the factorizations in the order of cuts. Each core size must
     lie in [1, n], or [0, n] for a skew sweep.
@@ -106,7 +108,7 @@ def sweep_and_truncate(A, cuts, seed, parity):
     if conjugate:
         check_parity(A, skew=parity)
     a = A.to_dense()
-    if A.is_sparse:  # a fresh array no one else holds: sweep it in place
+    if A.is_sparse or owned:  # a fresh array no one else holds: sweep it in place
         a.flags.writeable = True
     else:
         a = a.copy()

@@ -22,13 +22,15 @@ rotation or swap is the column rotation or swap of ``a``, with the same
 elementwise arithmetic, so the direct column phase is the kernel on ``a.T``
 and conjugation is the kernel that also applies each row step to ``a.T``.
 Those column steps read strided memory, so a level applies them to the
-active rows only and records them; the retired rows, which no later level
-reads or writes, get them at the end of the sweep in one blocked pass
-(_replay_tail), in level order and with the same arithmetic, so the
-deferral changes no bit of the result. Each sweep draws all its pivots with
-one ``rng.integers(highs)`` call, the same stream as one scalar draw per
-level, so a sweep to a smaller core size repeats the levels of a shallower
-one and continues. A sweep can therefore pause at larger core sizes
+active rows only, reads and writes each of its two strided rows once
+through a contiguous copy with the swap folded into the write (_level),
+and records them; the retired rows, which no later level reads or writes,
+get them at the end of the sweep in one blocked pass (_replay_tail), in
+level order and with the same arithmetic, so the deferral changes no bit
+of the result. Each sweep draws all its pivots with one
+``rng.integers(highs)`` call, the same stream as one scalar draw per level,
+so a sweep to a smaller core size repeats the levels of a shallower one
+and continues. A sweep can therefore pause at larger core sizes
 (``stops``): there it replays the tail so far in place, which no later
 level reads, and hands its caller the state a sweep to that size returns,
 so one sweep serves every core size of one seed.
@@ -53,6 +55,8 @@ _SUPPORT_RATIO = 48
 # rows of the retired tail replayed per block: the transposed block copy
 # holds at most n x _REPLAY_ROWS doubles
 _REPLAY_ROWS = 512
+# unit roundoff of float64, for _masses_ordered
+_UNIT_ROUNDOFF = 2.0 ** -53
 # side of the square tiles an in-place transpose swaps
 _TILE = 128
 # buffers of at most _WAVE_ROWS rows undo their rotations in waves of
@@ -105,16 +109,34 @@ def _row_gather(x, nz, a, rows, skew):
 def _rotate(p, q, c, s):
     """(p, q) <- (c p + s q, -s p + c q) in place; q is updated as c q - s p,
     which rounds exactly as -s p + c q does."""
-    rotated = c * p + s * q
+    sp = s * p
+    p *= c
+    p += s * q
     q *= c
-    q -= s * p
-    p[...] = rotated
+    q -= sp
 
 
 def _swap(m, tp, last):
     row = m[tp].copy()
     m[tp] = m[last]
     m[last] = row
+
+
+def _masses_ordered(mi, mj, k):
+    """Whether every summation order of the k squares behind the computed
+    masses mi and mj orders them as mi and mj do, and unequally.
+
+    Any order sums k squares to within gamma_k = k u / (1 - k u) of the
+    exact sum, plus k * 2^-1075 for squares that underflow. So when the
+    smaller mass, widened by that bound on both sides, stays below the
+    larger, no other order can swap or tie them. An infinite or NaN mass
+    never decides.
+    """
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    lo, hi = (mi, mj) if mi < mj else (mj, mi)
+    # ((1 + gamma) / (1 - gamma))^2 < 1 + 8 gamma; the rest covers this
+    # line's own roundings
+    return lo * (1.0 + 10.0 * gamma) + k * 2.0 ** -1070 < hi < math.inf
 
 
 def _level(a, rows, cols, ip, labels, parity=None, tail=None):
@@ -132,9 +154,19 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     product over x's support columns when _pivot_support returns them.
 
     With a tail list, the side whose rows are strided in memory (``a``
-    itself when parity is None, ``a.T`` under conjugation) is rotated and
-    swapped on its first cols entries only, and the level appends
-    (cols, ip, jp, c, s, tp, last) for _replay_tail.
+    itself when parity is None, ``a.T`` under conjugation) is worked on
+    its first cols entries only, and the level appends
+    (cols, ip, jp, c, s, tp, last) for _replay_tail. That side's rows ip
+    and jp are each read once into a contiguous copy and rotated there,
+    and written back once with the swap folded in: the kept row gets its
+    copy, row tp gets row last and row last the retired copy. So the
+    retiree is picked before any strided write. Under conjugation the
+    masses come from the contiguous rows, whose 2x2 block is first set
+    from the copies. Otherwise they come from the copies, whose contiguous
+    dots sum in another order than the strided rows' dots; where
+    _masses_ordered cannot certify that the order leaves the comparison
+    alone, the rotated rows are written back and their strided dots
+    decide, as they would unfolded.
 
     Returns the rotation (labels[ip], labels[jp], theta), labelled before
     the swap; the retired label is then labels[rows - 1].
@@ -154,25 +186,36 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     theta = givens_from_gram2(g_ii, float(sims[jp]), float(y @ y))
     rotation = (labels[ip], labels[jp], theta)
     c, s = math.cos(theta), math.sin(theta)
-    if tail is None:
-        sides = (a,)
-    elif parity is None:
-        sides = (a[:, :cols],)
-    else:
-        sides = (a, a.T[:, :cols])
-    for m in sides:
-        _rotate(m[ip], m[jp], c, s)
-    mi, mj = float(x @ x), float(y @ y)
-    if parity is not None:  # off-diagonal mass only
-        mi -= float(a[ip, ip]) ** 2
-        mj -= float(a[jp, jp]) ** 2
-    tp = _pick_retire(ip, jp, mi, mj, labels)
     last = rows - 1
-    for m in sides:
-        _swap(m, tp, last)
-    labels[tp], labels[last] = labels[last], labels[tp]
-    if tail is not None:
+    if tail is None:
+        _rotate(a[ip], a[jp], c, s)
+        tp = _pick_retire(ip, jp, float(x @ x), float(y @ y), labels)
+        _swap(a, tp, last)
+    else:
+        if parity is not None:
+            _rotate(a[ip], a[jp], c, s)
+        m = a[:, :cols] if parity is None else a.T[:, :cols]
+        p, q = m[ip].copy(), m[jp].copy()
+        _rotate(p, q, c, s)
+        if parity is None:
+            mi, mj = float(p @ p), float(q @ q)
+            if not _masses_ordered(mi, mj, cols):
+                m[ip], m[jp] = p, q
+                mi, mj = float(x @ x), float(y @ y)
+        else:  # off-diagonal mass only
+            a[ip, ip], a[jp, ip], a[ip, jp], a[jp, jp] = p[ip], p[jp], q[ip], q[jp]
+            mi = float(x @ x) - float(p[ip]) ** 2
+            mj = float(y @ y) - float(q[jp]) ** 2
+        tp = _pick_retire(ip, jp, mi, mj, labels)
+        kept, retired = (q, p) if tp == ip else (p, q)
+        m[ip + jp - tp] = kept
+        if tp != last:
+            m[tp] = m[last]
+        m[last] = retired
+        if parity is not None:  # tp and last lie below cols: this commutes with m's swap
+            _swap(a, tp, last)
         tail.append((cols, ip, jp, c, s, tp, last))
+    labels[tp], labels[last] = labels[last], labels[tp]
     return rotation
 
 
@@ -185,21 +228,36 @@ def _replay_tail(a, tail):
     gets its steps here, in level order, with the same elementwise
     arithmetic. A step's columns lie below cols + 1, so a block of rows
     [r0, r1) needs only a[r0:r1, :r1]; it is worked on through a contiguous
-    transposed copy of at most n x _REPLAY_ROWS entries.
+    transposed copy of at most n x _REPLAY_ROWS entries, whose row x starts
+    as column x of a. A step with r0 < cols reaches part of the block and
+    is applied to it at once. cols falls along the tail, so the steps that
+    reach the whole block come last; they move no data: their swaps
+    permute the map from columns of a to rows of the copy, their rotations
+    run in waves of disjoint pairs (_batches), and the copy goes back
+    through the map, _TILE rows at a time.
     """
     if not tail:
         return
     n = a.shape[0]
     for r0 in range(tail[-1][0], n, _REPLAY_ROWS):
         r1 = min(r0 + _REPLAY_ROWS, n)
-        block = np.ascontiguousarray(a[r0:r1, :r1].T)
+        block = a[r0:r1, :r1].T.copy()  # ascontiguousarray gives a view of one row
+        row, whole = list(range(r1)), []
         for cols, ip, jp, c, s, tp, last in tail:
             if cols >= r1:
                 continue
-            m = block[:, max(cols - r0, 0):]
-            _rotate(m[ip], m[jp], c, s)
-            _swap(m, tp, last)
-        a[r0:r1, :r1] = block.T
+            if cols > r0:
+                m = block[:, cols - r0:]
+                _rotate(m[ip], m[jp], c, s)
+                _swap(m, tp, last)
+            else:
+                whole.append((row[ip], row[jp], c, s))
+                row[tp], row[last] = row[last], row[tp]
+        if whole:
+            _rotate_waves(block, _batches(*zip(*whole), r1))
+        out = a[r0:r1, :r1]
+        for t0 in range(0, r1, _TILE):
+            out[:, t0:t0 + _TILE] = block[row[t0:t0 + _TILE]].T
 
 
 def _retired(perm, levels):
@@ -297,28 +355,25 @@ def _unrotate_rows(m, rotations):
         _rotate(m[i], m[j], math.cos(-theta), math.sin(-theta))
 
 
-def _waves(rotations, n):
-    """The rotations, last first, as batches (rows, c, s) of disjoint pairs.
+def _batches(i, j, c, s, n):
+    """Rotations (i, j, c, s), listed in the order they apply to rows of an
+    n-row array, as batches (rows, c, s) of disjoint pairs.
 
-    A rotation's wave is one past the latest wave of an earlier-undone
-    rotation sharing a row, so the pairs of a wave are disjoint and commute,
-    and undoing the waves in order undoes the rotations last first. A wave
-    is cut into batches of at most _WAVE_PAIRS pairs. rows stacks a batch's
-    i labels over its j labels; c and s are the columns cos(-theta) and
-    sin(-theta), computed by math as _unrotate_rows computes them.
+    A rotation's wave is one past the latest wave of an earlier rotation
+    sharing a row, so the pairs of a wave are disjoint and commute, and
+    applying the waves in order applies the rotations in order. A wave is
+    cut into batches of at most _WAVE_PAIRS pairs. rows stacks a batch's i
+    over its j; c and s are columns.
     """
-    undo = np.asarray(rotations, ROTATION)[::-1]
     latest, wave = [0] * n, []
-    for i, j in zip(undo["i"].tolist(), undo["j"].tolist()):
-        w = latest[i] if latest[i] > latest[j] else latest[j]
-        latest[i] = latest[j] = w + 1
+    for p, q in zip(i, j):
+        w = latest[p] if latest[p] > latest[q] else latest[q]
+        latest[p] = latest[q] = w + 1
         wave.append(w)
     wave = np.array(wave, dtype=np.int64)
-    undo = undo[np.argsort(wave, kind="stable")]
-    theta = (-undo["theta"]).tolist()
-    c = np.array(list(map(math.cos, theta)))[:, None]
-    s = np.array(list(map(math.sin, theta)))[:, None]
-    i, j = undo["i"], undo["j"]
+    order = np.argsort(wave, kind="stable")
+    i, j = (np.array(v, dtype=np.int64)[order] for v in (i, j))
+    c, s = (np.array(v, dtype=np.float64)[order, None] for v in (c, s))
     starts, end = [], 0
     for size in np.bincount(wave).tolist():
         starts.extend(range(end, end + size, _WAVE_PAIRS))
@@ -327,12 +382,22 @@ def _waves(rotations, n):
             for a, b in zip(starts, starts[1:] + [end])]
 
 
-def _unrotate_waves(m, batches):
-    """m <- G_1 ... G_L m for the _waves batches of the rotations.
+def _waves(rotations, n):
+    """The rotations, last first, as the _batches that undo them: (i, j,
+    theta) is undone with c, s = cos(-theta), sin(-theta), computed by math
+    as _unrotate_rows computes them."""
+    undo = np.asarray(rotations, ROTATION)[::-1]
+    theta = (-undo["theta"]).tolist()
+    return _batches(undo["i"].tolist(), undo["j"].tolist(),
+                    list(map(math.cos, theta)), list(map(math.sin, theta)), n)
+
+
+def _rotate_waves(m, batches):
+    """Apply the _batches of some rotations to the rows of m, in order.
 
     Each batch gathers its rows [P; Q] once and gives every pair _rotate's
     arithmetic, P <- c P + s Q and Q <- Q c - s P, so every entry gets the
-    bits _unrotate_rows gives it.
+    bits that _rotate, one rotation at a time, gives it.
     """
     for rows, c, s in batches:
         g = m[rows]
@@ -379,7 +444,7 @@ def _reconstruct(h, left, right):
         undo, sides = _unrotate_rows, (left, right)
     else:
         waves = _waves(left, n)
-        undo, sides = _unrotate_waves, (waves, waves if right is left else _waves(right, n))
+        undo, sides = _rotate_waves, (waves, waves if right is left else _waves(right, n))
     undo(m, sides[0])
     _transpose_in_place(m)
     undo(m, sides[1])

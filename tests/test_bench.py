@@ -6,7 +6,11 @@ matrix file; any attempt to touch the network fails the test.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -667,3 +671,43 @@ def test_additive_param_is_the_core_size_of_a_stored_half():
         F = factor_additive(A, 800, 1)
         assert storage == F.storage_scalars <= 800
         assert param == len(getattr(F, half).core_rows) > 0
+
+
+# the rows of perfbench's suite-sparse matrix perf/s0_n256_r4 at seed 5, with
+# what README says does not depend on the BLAS thread count: every row's
+# size parameter, every storage but hybrid's and the additive budget split
+THREAD_ROWS = """
+import sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import workloads
+from mrmf import bench
+from mrmf.additive import half_masses, split_budget
+from mrmf.data import parse_matrix_market
+
+with tempfile.TemporaryDirectory() as work:
+    wl = workloads.SuiteSparse(work, 5, max_workers=1)
+    wl.setup()
+    wl.manifest.write_text("perf/s0_n256_r4\\n")
+    A, _ = parse_matrix_market((wl.cache_dir / "perf" / "s0_n256_r4.mtx").read_bytes())
+    result = bench.run_sweep(wl.config(1), http_get=workloads._no_network)
+assert len(result.rows) == 18 and not result.failures
+for row in result.rows:
+    method, budget = row["method"], row["budget"]
+    storage = "-" if method == "hybrid" else row["storage"]
+    split = split_budget(A.n, half_masses(A), budget) if method == "additive" else ""
+    print(method, row["fraction"], row["param"], storage, split)
+"""
+
+
+def test_sizes_and_storage_do_not_depend_on_blas_threads():
+    # a hybrid run's off-core selection ranks entries of M = CUR at its
+    # round-off level, so its storage may move with the thread count (here
+    # 2,718 scalars at 5% dense on one thread, 2,715 on two); README says so
+    root = Path(__file__).resolve().parents[1]
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-c", THREAD_ROWS, str(root / "perfbench")],
+                             env=env, capture_output=True, text=True, check=True)
+        printed.append(run.stdout)
+    assert printed[0] == printed[1]

@@ -4,7 +4,8 @@ With a COO input a direct, symmetric, skew or additive run keeps at most
 two n x n arrays alive at once: at a sweep stop the working copy and its
 unpermuted snapshot, at the error the densified input and the
 reconstruction; a reconstruction alone holds its one buffer and a wave
-batch. These tests pin those bounds and the contracts the owned
+batch. A hybrid run sweeps its fresh M = CUR in place, not a copy of it.
+These tests pin those bounds and the contracts the owned
 buffers rest on: a reconstruction never writes to an array its caller
 passed, the in-place transpose only moves data, and the parity check of a
 COO input, which runs on its triplets, decides as the dense check does.
@@ -53,7 +54,7 @@ MEMORY_N = 700  # above jacobi._SUPPORT_FLOOR, so the large levels gather
 
 
 @pytest.mark.parametrize(
-    "method", ["direct-topn", "direct-greedytopn", "direct-corediag", "additive"])
+    "method", ["direct-topn", "direct-greedytopn", "direct-corediag", "additive", "hybrid"])
 def test_compression_error_holds_at_most_two_and_a_half_arrays(method):
     n = MEMORY_N
     A = _coo(_spread(n, 31))

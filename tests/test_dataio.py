@@ -1,14 +1,21 @@
 """Matrix Market parsing/writing, collection fetching, synthetic generators."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import urllib.error
+import urllib.request
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrmf.data
 from mm_fixtures import FIXTURE_SUITE
 from mrmf import (
     DecaySpec,
@@ -321,6 +328,42 @@ def test_fetch_corrupt_cache_is_quarantined_then_refetched(tmp_path):
     assert len(calls) == 1
     assert A.n == 3 and meta.name == "stale"
     assert cached.read_bytes() == SMALL_MTX
+
+
+def test_default_download_reads_a_file_url(tmp_path, monkeypatch):
+    # the default getter is urllib's, so a file:// mirror serves it offline
+    mirror = tmp_path / "mirror"
+    (mirror / "G").mkdir(parents=True)
+    (mirror / "G" / "local.tar.gz").write_bytes(make_collection_archive("local", SMALL_MTX))
+    monkeypatch.setattr(mrmf.data, "SUITESPARSE_URL", mirror.as_uri() + "/{group}/{name}.tar.gz")
+    A, meta = fetch_suitesparse("G", "local", tmp_path / "cache", backoff=0.0)
+    assert A.n == 3 and meta.group == "G" and meta.name == "local"
+    assert (tmp_path / "cache" / "G" / "local.mtx").read_bytes() == SMALL_MTX
+
+
+def test_importing_the_package_leaves_urllib_request_out():
+    # the download imports it on first use, so runs without one skip its cost
+    code = "import sys, mrmf; print('urllib.request' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(mrmf.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("code", [404, 503])
+def test_default_download_maps_only_404_to_not_found(tmp_path, monkeypatch, code):
+    calls = []
+
+    def urlopen(url, timeout):
+        calls.append(timeout)
+        raise urllib.error.HTTPError(url, code, "refused", None, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    expected = MatrixNotFoundError if code == 404 else FetchError
+    with pytest.raises(expected) as err:
+        fetch_suitesparse("G", "gone", tmp_path, retries=2, backoff=0.0)
+    assert (type(err.value) is MatrixNotFoundError) == (code == 404)
+    assert calls == [60] * (1 if code == 404 else 2)  # a 404 is final, others retry
 
 
 # ---------------------------------------------------------------- decay family

@@ -120,13 +120,13 @@ def test_the_size_selects_the_path_at_the_boundary(offset, monkeypatch):
     a = _spread(n, 40)
     left, right = jacobi.two_basis_sweep(a, n - 48, np.random.default_rng(6))[:2]
     waved = []
-    unrotate = jacobi._unrotate_waves
+    unrotate = jacobi._rotate_waves
 
     def spy(m, batches):
         waved.append(len(batches))
         unrotate(m, batches)
 
-    monkeypatch.setattr(jacobi, "_unrotate_waves", spy)
+    monkeypatch.setattr(jacobi, "_rotate_waves", spy)
     default = (jacobi.two_basis_reconstruct(a, left, right).tobytes(),
                jacobi.conjugate_reconstruct(a, left).tobytes())
     assert bool(waved) == (offset == 0)
