@@ -13,8 +13,11 @@ once and appends one record to BENCH_W.json, a JSON list kept in run
 order: the git revision and whether the tree was dirty (the BENCH files
 themselves aside), the seed, the report's environment, the four
 end-to-end values, the pass walls, the error.* values, and correct and
-failed. A run whose output is not perfbench's two JSON lines is not
-recorded, and the exit code is 1.
+failed. A run whose output is not perfbench's two JSON lines, or that
+takes longer than RUN_TIMEOUT_S, is not recorded, and the exit code is 1.
+A record is appended by writing the whole list to a temporary file beside
+BENCH_W.json and renaming it over the old one, so an interrupted append
+leaves the old list whole.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("setup_s", "pass_s", "cpu_s", "peak_rss_mb")
+RUN_TIMEOUT_S = 600  # a run takes under a minute
 
 
 def workloads():
@@ -74,7 +80,14 @@ def record_of(stdout, workload, seed, revision, dirty):
 def append(path, record):
     records = json.loads(path.read_text()) if path.exists() else []
     records.append(record)
-    path.write_text(json.dumps(records, indent=1) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(records, indent=1) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def main(argv=None):
@@ -88,9 +101,14 @@ def main(argv=None):
     for workload in args.workload or workloads():
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", "30", "--trace", "0"]
-        run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         try:
+            run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                                 timeout=RUN_TIMEOUT_S)
             record = record_of(run.stdout, workload, args.seed, revision, dirty)
+        except subprocess.TimeoutExpired as exc:
+            print(f"{workload}: not recorded: {exc}", file=sys.stderr)
+            status = 1
+            continue
         except (ValueError, KeyError) as exc:
             print(f"{workload}: not recorded (exit {run.returncode}): {exc}\n{run.stderr}",
                   file=sys.stderr)

@@ -19,7 +19,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,7 @@ class SweepConfig:
     output: str
     accounting: str = SPARSE_COO
     cache_dir: str = "cache"
-    max_workers: int = 4
+    max_workers: int = 1
 
     def __post_init__(self):
         for key, values in (("methods", self.methods), ("fractions", self.fractions)):
@@ -231,9 +231,9 @@ def compression_error(A, method, scalars, seed, built=None):
     The size parameter is the core size for factorization methods and the
     rank for cur/hybrid. For additive it is the symmetric half's core size,
     or the skew half's when the symmetric half is empty (a purely skew
-    input). built is the run's (stored result, size parameter) when a
-    sweep shared with other runs made it (run_sweep); None builds it here,
-    from the run's own sweep. Storage is verified against the budget.
+    input). built is the run's (stored result, size parameter) when
+    run_sweep built it; None builds it here, from the run's own sweep.
+    Storage is verified against the budget.
     """
     if built is None:
         size = None if method == "additive" else _solve(A, method, scalars)
@@ -262,32 +262,32 @@ def _run_item(A, rows):
     """Each row of one (matrix, route, trial) item as a finished row dict,
     or as the exception that failed it, in row order.
 
-    cur and hybrid rows share nothing and run one by one. The direct and
-    additive rows are solved first; a row whose solve raises fails alone,
-    and the others share one _build. A row's wall time is its own
-    compression_error call plus an equal share of that build.
+    Each row is solved (additive splits its budget by the item's half
+    masses) and fails alone if that raises. One _build then serves all
+    the solved direct or additive rows, or one cur or hybrid row, and fails
+    the rows it serves if it raises. compression_error measures each row on
+    its built result; its wall time adds an equal share of that build.
     """
-    def measure(row, built=None, shared_s=0.0):
+    def measure(row, built, shared_s):
         start = time.perf_counter()
         err, storage, param = compression_error(A, row["method"], row["budget"], row["seed"], built)
         elapsed = time.perf_counter() - start + shared_s
         return {**row, "param": param, "storage": storage, "error": err, "wall_time_s": elapsed}
 
     route = _route(rows[0]["method"])
-    if route in ("cur", "hybrid"):
-        return [_attempt(measure, row) for row in rows]
     if route == "additive":
         masses = half_masses(A)
         out = [_attempt(split_budget, A.n, masses, row["budget"]) for row in rows]
     else:
         out = [_attempt(_solve, A, row["method"], row["budget"]) for row in rows]
     ready = [i for i, size in enumerate(out) if not isinstance(size, Exception)]
-    if ready:
+    groups = [ready] if route in ("direct", "additive") else [[i] for i in ready]
+    for group in filter(None, groups):
         start = time.perf_counter()
-        runs = [(rows[i]["method"], out[i], rows[i]["budget"]) for i in ready]
+        runs = [(rows[i]["method"], out[i], rows[i]["budget"]) for i in group]
         built = _attempt(_build, A, runs, rows[0]["seed"])
-        shared_s = (time.perf_counter() - start) / len(ready)
-        for k, i in enumerate(ready):
+        shared_s = (time.perf_counter() - start) / len(group)
+        for k, i in enumerate(group):
             out[i] = built if isinstance(built, Exception) else _attempt(
                 measure, rows[i], built[k], shared_s)
     return out
@@ -296,68 +296,62 @@ def _run_item(A, rows):
 def run_sweep(config, http_get=None, log=None):
     """Full benchmark sweep: one row per (matrix, method, fraction, trial).
 
-    A pool item is one (matrix, route, trial) with all of its rows, so one
-    sweep serves every direct-* method and fraction, and one sweep per half
-    every additive fraction (see _run_item). Items run on a bounded thread
-    pool; rows and reports follow the manifest/methods/fractions/trial
-    order, so output is deterministic.
+    It plans, maps, then assembles. The plan lists the rows in row order
+    (manifest, methods, fractions, trials) and keys them into items, one
+    per (matrix, route, trial), so one sweep serves every direct-* method
+    and fraction and one sweep per half every additive fraction. The map
+    runs _run_item on each item in a bounded thread pool; the assembly
+    walks the rows in row order, so output is deterministic.
     Matrices or runs that fail are recorded (matrix, stage, exception type
     name, message) and skipped, never fatal.
     """
     say = log if log is not None else (lambda msg: None)
-    matrices = []
+    plan, items = [], {}  # (metadata, item key, row) in row order; key -> (A, its rows)
     failures = []
     for group, name in load_manifest(config.manifest):
         label = f"{group}/{name}"
         try:
             A, meta = fetch_suitesparse(group, name, config.cache_dir, http_get=http_get)
-            matrices.append((label, A, meta))
             say(f"loaded {label}: n={meta.n} nnz={meta.nnz}")
         except Exception as exc:
             failures.append({"matrix": label, "stage": "load",
                              "type": type(exc).__name__, "error": str(exc)})
             say(f"skipped {label}: {exc}")
+            continue
+        for method, fraction in product(config.methods, config.fractions):
+            scalars = StorageBudget(fraction, config.accounting).scalars(A)
+            for trial in range(config.trials):
+                row = {
+                    "group": meta.group, "name": meta.name, "kind": meta.kind,
+                    "n": meta.n, "nnz": meta.nnz, "method": method,
+                    "fraction": fraction, "trial": trial,
+                    "seed": run_seed(config.seed, meta, method, trial), "budget": scalars,
+                }
+                key = (label, _route(method), trial)
+                plan.append((meta, key, row))
+                items.setdefault(key, (A, []))[1].append(row)
 
-    work = []  # per matrix: (label, metadata, rows in row order, its items)
     with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for label, A, meta in matrices:
-            rows = []
-            for method, fraction in product(config.methods, config.fractions):
-                scalars = StorageBudget(fraction, config.accounting).scalars(A)
-                for trial in range(config.trials):
-                    rows.append({
-                        "group": meta.group, "name": meta.name, "kind": meta.kind,
-                        "n": meta.n, "nnz": meta.nnz, "method": method,
-                        "fraction": fraction, "trial": trial,
-                        "seed": run_seed(config.seed, meta, method, trial), "budget": scalars,
-                    })
-            groups = {}  # (route, trial) -> positions of the item's rows
-            for i, row in enumerate(rows):
-                groups.setdefault((_route(row["method"]), row["trial"]), []).append(i)
-            items = [(idx, pool.submit(_run_item, A, [rows[i] for i in idx]))
-                     for idx in groups.values()]
-            work.append((label, meta, rows, items))
+        got = pool.map(_attempt, repeat(_run_item, len(items)), *zip(*items.values()))
+        # an item's outcomes follow its rows, which follow row order
+        outcomes = {key: repeat(out) if isinstance(out, Exception) else iter(out)
+                    for key, out in zip(items, got)}
 
     done_rows = []
     cells = {}  # (matrix, method, fraction) -> (metadata, rows), in row order
-    for label, meta, rows, items in work:
-        outcomes = [None] * len(rows)
-        for idx, fut in items:
-            got = _attempt(fut.result)
-            for k, i in enumerate(idx):
-                outcomes[i] = got if isinstance(got, Exception) else got[k]
-        for row, done in zip(rows, outcomes):
-            method, fraction, trial = row["method"], row["fraction"], row["trial"]
-            if isinstance(done, Exception):
-                failures.append({
-                    "matrix": label, "stage": f"{method}@{fraction:g}/trial{trial}",
-                    "type": type(done).__name__, "error": str(done),
-                })
-                say(f"failed {label} {method} f={fraction:g} trial={trial}: {done}")
-                continue
-            done_rows.append(done)
-            cells.setdefault((label, method, fraction), (meta, []))[1].append(done)
-            say(f"done {label} {method} f={fraction:g} trial={trial}")
+    for meta, key, row in plan:
+        done = next(outcomes[key])
+        label, method, fraction, trial = key[0], row["method"], row["fraction"], row["trial"]
+        if isinstance(done, Exception):
+            failures.append({
+                "matrix": label, "stage": f"{method}@{fraction:g}/trial{trial}",
+                "type": type(done).__name__, "error": str(done),
+            })
+            say(f"failed {label} {method} f={fraction:g} trial={trial}: {done}")
+            continue
+        done_rows.append(done)
+        cells.setdefault((label, method, fraction), (meta, []))[1].append(done)
+        say(f"done {label} {method} f={fraction:g} trial={trial}")
 
     reports = []
     for (_, method, fraction), (meta, cell) in cells.items():
@@ -485,16 +479,17 @@ def run_decay_sweep(n, t_list, seed, core_size=DECAY_CORE_SIZE):
 def run_rank_sweep(A, r_list, fraction=0.05, seed=0, accounting=SPARSE_COO):
     """Hybrid error per CUR rank plus CUR-only and MMF-only baselines.
 
-    All three pipelines share one scalar budget. Returns row tuples
-    (series, size parameter, error): one 'hybrid' row per r, then a 'cur'
-    row at its solved rank and an 'mmf' (direct-greedytopn) row at its
-    solved core size.
+    All three pipelines share one scalar budget, and compression_error
+    measures every row. Returns row tuples (series, size parameter,
+    error): one 'hybrid' row per r, then a 'cur' row at its solved rank
+    and an 'mmf' (direct-greedytopn) row at its solved core size.
     """
     scalars = StorageBudget(fraction, accounting).scalars(A)
     rows = []
-    for r in r_list:
-        F = hybrid_compress(A, int(r), scalars, derive_seed(seed, "hybrid", int(r)))
-        rows.append(("hybrid", int(r), frobenius_relative_error(A, reconstruct(F))))
+    for r in map(int, r_list):
+        r_seed = derive_seed(seed, "hybrid", r)
+        built = hybrid_compress(A, r, scalars, r_seed), r
+        rows.append(("hybrid", r, compression_error(A, "hybrid", scalars, r_seed, built)[0]))
     for series, method in (("cur", "cur"), ("mmf", "direct-greedytopn")):
         err, _, param = compression_error(A, method, scalars, derive_seed(seed, series))
         rows.append((series, param, err))

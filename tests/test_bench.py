@@ -268,7 +268,7 @@ def test_load_sweep_config_defaults(tmp_path):
     assert cfg.seed == 0
     assert cfg.accounting == "sparse-coo"
     assert cfg.cache_dir == "cache"
-    assert cfg.max_workers == 4
+    assert cfg.max_workers == 1
 
 
 @pytest.mark.parametrize(

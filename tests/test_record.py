@@ -47,9 +47,13 @@ def recorder(tmp_path, monkeypatch):
     rec.commands = []
     rec.outputs = []
 
-    def run(cmd, cwd, capture_output, text):
+    def run(cmd, cwd, capture_output, text, timeout):
+        assert timeout == rec.RUN_TIMEOUT_S
         rec.commands.append((cmd[1:], cwd))
-        return subprocess.CompletedProcess(cmd, 0, rec.outputs.pop(0), "")
+        out = rec.outputs.pop(0)
+        if isinstance(out, Exception):
+            raise out
+        return subprocess.CompletedProcess(cmd, 0, out, "")
 
     monkeypatch.setattr(rec.subprocess, "run", run)
     return rec
@@ -90,3 +94,29 @@ def test_output_that_is_not_perfbenchs_is_not_recorded(recorder, tmp_path, capsy
     assert recorder.main(["--seed", "5", "--workload", "ingest-mtx"]) == 1  # seed mismatch
     assert not (tmp_path / "BENCH_ingest-mtx.json").exists()
     assert "not recorded" in capsys.readouterr().err
+
+
+def test_a_hung_run_is_not_recorded(recorder, tmp_path, capsys):
+    hung = subprocess.TimeoutExpired(["perfbench/run.py"], recorder.RUN_TIMEOUT_S)
+    recorder.outputs = [hung, _canned("suite-sparse", 6, 2.0)]
+    assert recorder.main(["--seed", "6", "--workload", "sweep-n2000",
+                          "--workload", "suite-sparse"]) == 1
+    assert "sweep-n2000: not recorded" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_sweep-n2000.json").exists()
+    assert len(json.loads((tmp_path / "BENCH_suite-sparse.json").read_text())) == 1
+
+
+def test_an_interrupted_append_keeps_the_old_records(recorder, tmp_path, monkeypatch):
+    recorder.outputs = [_canned("ingest-mtx", 7, 1.0), _canned("ingest-mtx", 8, 1.0)]
+    assert recorder.main(["--seed", "7", "--workload", "ingest-mtx"]) == 0
+    path = tmp_path / "BENCH_ingest-mtx.json"
+    before = path.read_bytes()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(recorder.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        recorder.main(["--seed", "8", "--workload", "ingest-mtx"])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", path.name]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from mrmf import direct, jacobi
+from mrmf import bench, direct, jacobi
 from mrmf.additive import factor_additive, reconstruct_additive
 from mrmf.bench import (
     BENCH_METHODS,
@@ -26,6 +26,7 @@ from mrmf.cores import Sparsifier
 from mrmf.data import write_matrix_market
 from mrmf.direct import factor_direct, reconstruct
 from mrmf.matrices import SquareMatrix
+from mrmf.storage import StorageBudget
 from mrmf.skew import factor_skew
 from mrmf.symmetric import factor_symmetric
 from test_kernels import INPUTS, _spread
@@ -234,7 +235,7 @@ def _config(tmp, manifest="manifest.txt", **kwargs):
                        cache_dir=str(tmp / "cache"), seed=3, **kwargs)
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("workers", (1, 2, 4))
 def test_every_sweep_row_equals_its_standalone_run(two_matrices, workers):
     tmp, mats = two_matrices
     config = _config(tmp, methods=BENCH_METHODS, fractions=(0.3, 0.5, 0.8), trials=2,
@@ -267,3 +268,47 @@ def test_a_failed_solve_stays_on_its_own_row(two_matrices):
     for row in result.rows:
         got = compression_error(mats["G/dense"], row["method"], row["budget"], row["seed"])
         assert (row["error"], row["storage"], row["param"]) == got
+
+
+class BuildFailed(RuntimeError):
+    pass
+
+
+def test_a_failed_build_stays_in_its_group(two_matrices, monkeypatch):
+    # a direct build fails every direct row of its (matrix, trial); a cur
+    # build fails only its own row; every other row keeps its standalone value
+    tmp, mats = two_matrices
+    (tmp / "one.txt").write_text("G/dense\n")
+    A = mats["G/dense"]
+    config = _config(tmp, "one.txt", methods=("direct-topn", "cur", "direct-corediag", "additive"),
+                     fractions=(0.3, 0.5), trials=2, max_workers=2)
+    bad_rank = bench._solve(A, "cur", StorageBudget(0.5, config.accounting).scalars(A))
+    bad_cur_seed = derive_seed(3, "G/dense", "cur", 0)
+    bad_direct_seed = derive_seed(3, "G/dense", "direct", 1)
+    cur_decompose, factor_direct_ = bench.cur_decompose, bench.factor_direct
+
+    def failing_cur(A, r, seed):
+        if (r, seed) == (bad_rank, bad_cur_seed):
+            raise BuildFailed(f"rank {r}")
+        return cur_decompose(A, r, seed)
+
+    def failing_direct(A, sizes, rules, seed):
+        if seed == bad_direct_seed:
+            raise BuildFailed("direct sweep")
+        return factor_direct_(A, sizes, rules, seed)
+
+    monkeypatch.setattr(bench, "cur_decompose", failing_cur)
+    monkeypatch.setattr(bench, "factor_direct", failing_direct)
+    result = run_sweep(config, http_get=_no_net)
+    assert [(f["matrix"], f["stage"], f["type"]) for f in result.failures] == [
+        ("G/dense", "direct-topn@0.3/trial1", "BuildFailed"),
+        ("G/dense", "direct-topn@0.5/trial1", "BuildFailed"),
+        ("G/dense", "cur@0.5/trial0", "BuildFailed"),
+        ("G/dense", "direct-corediag@0.3/trial1", "BuildFailed"),
+        ("G/dense", "direct-corediag@0.5/trial1", "BuildFailed"),
+    ]
+    assert len(result.rows) == 4 * 2 * 2 - 5
+    assert {r["method"] for r in result.rows} == set(config.methods)
+    for row in result.rows:
+        got = compression_error(A, row["method"], row["budget"], row["seed"])
+        assert (row["error"], row["storage"], row["param"]) == got, row
