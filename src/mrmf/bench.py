@@ -114,7 +114,8 @@ class SweepResult:
 def derive_seed(base_seed, *parts):
     """Stable uint32 seed from a base seed and a run's identifying parts."""
     key = "|".join([str(int(base_seed))] + [str(p) for p in parts])
-    return zlib.crc32(key.encode("ascii"))
+    # an ASCII key has the same UTF-8 bytes; surrogatepass keeps lone surrogates
+    return zlib.crc32(key.encode("utf-8", "surrogatepass"))
 
 
 def _route(method):

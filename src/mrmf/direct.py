@@ -12,6 +12,7 @@ its rotations and core index set once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -130,14 +131,8 @@ def sweep_and_truncate(A, cuts, seed, parity, owned=False):
 
     deepest = min(d for d, _ in cuts)
     stops = set(stop_of) - {min(stop_of)}
-    if conjugate:
-        def conjugate_cut(rotations, perm, retired, last=False):
-            cut(rotations, rotations, perm, perm, retired, retired, last)
-
-        conjugate_cut(*conjugation_sweep(a, deepest, rng, parity=parity,
-                                         stops=stops, at_stop=conjugate_cut), last=True)
-    else:
-        cut(*two_basis_sweep(a, deepest, rng, stops=stops, at_stop=cut), last=True)
+    sweep = partial(conjugation_sweep, parity=parity) if conjugate else two_basis_sweep
+    cut(*sweep(a, deepest, rng, stops=stops, at_stop=cut), last=True)
     return out
 
 

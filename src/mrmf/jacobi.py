@@ -17,23 +17,26 @@ scores are the full product's up to the summation order of the nonzero
 terms, and rows with disjoint support still score exactly 0. Smaller blocks
 always run the full product.
 
-Both sweeps run one row-level kernel. On the transposed view ``a.T`` a row
-rotation or swap is the column rotation or swap of ``a``, with the same
-elementwise arithmetic, so the direct column phase is the kernel on ``a.T``
-and conjugation is the kernel that also applies each row step to ``a.T``.
-Those column steps read strided memory, so a level applies them to the
-active rows only, reads and writes each of its two strided rows once
-through a contiguous copy with the swap folded into the write (_level),
-and records them; the retired rows, which no later level reads or writes,
-get them at the end of the sweep in one blocked pass (_replay_tail), in
-level order and with the same arithmetic, so the deferral changes no bit
-of the result. Each sweep draws all its pivots with one
-``rng.integers(highs)`` call, the same stream as one scalar draw per level,
-so a sweep to a smaller core size repeats the levels of a shallower one
-and continues. A sweep can therefore pause at larger core sizes
-(``stops``): there it replays the tail so far in place, which no later
-level reads, and hands its caller the state a sweep to that size returns,
-so one sweep serves every core size of one seed.
+Both sweeps are one driver (_sweep) running one row-level kernel. On the
+transposed view ``a.T`` a row rotation or swap is the column rotation or
+swap of ``a``, with the same elementwise arithmetic, so the direct column
+phase is the kernel on ``a.T`` and conjugation is the kernel that also
+applies each row step to ``a.T``. Those column steps read strided memory,
+so a level applies them to the active rows only, reads and writes each of
+its two strided rows once through a contiguous copy with the swap folded
+into the write (_level), and records them; the retired rows, which no
+later level reads or writes, get them at the end of the sweep in one
+blocked pass (_replay_tail), in level order and with the same arithmetic,
+so the deferral changes no bit of the result. A sweep draws all its pivots
+with one ``rng.integers(highs)`` call, one high per phase of each level,
+the same stream as one scalar draw per phase, so a sweep to a smaller core
+size repeats the levels of a shallower one and continues. A sweep can
+therefore pause at larger core sizes (``stops``): there it replays the
+tail so far in place, which no later level reads, and hands its caller
+the state a sweep to that size returns, so one sweep serves every core
+size of one seed. Both sweeps return one state shape, (left, right,
+row_perm, col_perm, row_retired, col_retired); under conjugation each
+right-hand field is the left-hand object itself.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from .cores import CoreSparse
 from .matrices import ROTATION, givens_from_gram2
 
 # up to the floor a sweep stays bit for bit the full product's, so small
-# inputs keep their outputs. The row phase and conjugation gather strided
+# inputs keep their outputs. Only the two-basis row phase gathers strided
 # columns, which cost 15-44x the GEMV per entry (n = 2000 and 4000, one and
-# two BLAS threads); the ratio sits above that break-even, and the column
-# phase's contiguous gather is cheaper still
+# two BLAS threads); the ratio sits above that break-even, and conjugation
+# and the column phase, which gather contiguous rows, are cheaper still
 _SUPPORT_FLOOR = 512
 _SUPPORT_RATIO = 48
 # rows of the retired tail replayed per block: the transposed block copy
@@ -266,40 +269,47 @@ def _retired(perm, levels):
     return perm[::-1][:levels].copy()
 
 
+def _sweep(a, stop, rng, parity, stops, at_stop):
+    """Sweep a in place down to stop active positions. Each level is a row
+    level on a, then a column level on a.T (parity None), or one
+    conjugating level. Returns, and hands at_stop, the one state shape."""
+    n = a.shape[0]
+    sides = [([], np.arange(n)) for _ in range(1 if parity is not None else 2)]
+    (left, row_perm), (right, col_perm) = sides[0], sides[-1]
+    tail = []
+
+    def state():
+        _replay_tail(a, tail)
+        tail.clear()
+        done = [(np.array(rot, dtype=ROTATION), perm, _retired(perm, len(rot)))
+                for rot, perm in sides]
+        (lrot, rows, row_ret), (rrot, cols, col_ret) = done[0], done[-1]
+        return lrot, rrot, rows, cols, row_ret, col_ret
+
+    levels = np.arange(n, stop, -1)
+    pivots = rng.integers(np.repeat(levels, len(sides))).reshape(-1, len(sides)).tolist()
+    for k, ips in zip(levels.tolist(), pivots):
+        if k in stops:
+            at_stop(*state())
+        if parity is None:
+            left.append(_level(a, k, k, ips[0], row_perm))
+            right.append(_level(a.T, k, k - 1, ips[1], col_perm, tail=tail))
+        else:
+            left.append(_level(a, k, k, ips[0], row_perm, parity=parity, tail=tail))
+    return state()
+
+
 def conjugation_sweep(a, core_size, rng, *, parity, stops=(), at_stop=None):
     """Two-sided greedy sweep: a <- G^T a G per level, one retirement per level.
 
     a is symmetric (parity False) or skew-symmetric (parity True); the
     caller checks it, and the sparse-support levels rely on it. Runs until
     core_size positions stay active (but never below one). Mutates `a` in
-    place; on exit a holds the rotated matrix with rows and columns
-    permuted identically by the returned label array.
-
-    stops holds core sizes in (max(core_size, 1), n] to pause at on the way:
-    before the level at a stop's active size, the sweep replays its
-    deferred tail and calls at_stop(rotations, perm, retired_labels). That
-    is what a sweep to the stop's core size returns, bit for bit, and a
-    then holds that sweep's matrix; the caller reads a and perm during the
-    call and keeps neither, since the sweep goes on mutating both.
-
-    Returns (rotations, perm, retired_labels).
+    place; rows and columns end permuted identically. stops, at_stop and
+    the returned state are two_basis_sweep's, with right, col_perm and
+    col_retired being left, row_perm and row_retired themselves.
     """
-    n = a.shape[0]
-    perm = np.arange(n)
-    highs = np.arange(n, max(core_size, 1), -1)
-    rotations, tail = [], []
-
-    def state():
-        _replay_tail(a, tail)
-        tail.clear()
-        done = np.array(rotations, dtype=ROTATION)
-        return done, perm, _retired(perm, len(done))
-
-    for k, ip in zip(highs.tolist(), rng.integers(highs).tolist()):
-        if k in stops:
-            at_stop(*state())
-        rotations.append(_level(a, k, k, ip, perm, parity=parity, tail=tail))
-    return state()
+    return _sweep(a, max(core_size, 1), rng, parity, stops, at_stop)
 
 
 def two_basis_sweep(a, core_size, rng, stops=(), at_stop=None):
@@ -312,30 +322,13 @@ def two_basis_sweep(a, core_size, rng, stops=(), at_stop=None):
     stops holds core sizes in (core_size, n] to pause at on the way:
     before the level at a stop's active size, the sweep replays its
     deferred tail and calls at_stop with what a sweep to that core size
-    returns, bit for bit, while a holds that sweep's matrix (see
-    conjugation_sweep).
+    returns, bit for bit, while a holds that sweep's matrix; the caller
+    reads a and the label arrays during the call and keeps neither, since
+    the sweep goes on mutating them.
 
     Returns (left, right, row_perm, col_perm, row_retired, col_retired).
     """
-    n = a.shape[0]
-    row_perm, col_perm = np.arange(n), np.arange(n)
-    left, right, tail = [], [], []
-
-    def state():
-        _replay_tail(a, tail)
-        tail.clear()
-        done = [np.array(side, dtype=ROTATION) for side in (left, right)]
-        return (*done, row_perm, col_perm,
-                _retired(row_perm, len(left)), _retired(col_perm, len(right)))
-
-    levels = np.arange(n, core_size, -1)
-    pivots = rng.integers(np.repeat(levels, 2)).reshape(-1, 2).tolist()
-    for k, (ip, ipc) in zip(levels.tolist(), pivots):
-        if k in stops:
-            at_stop(*state())
-        left.append(_level(a, k, k, ip, row_perm))
-        right.append(_level(a.T, k, k - 1, ipc, col_perm, tail=tail))
-    return state()
+    return _sweep(a, core_size, rng, None, stops, at_stop)
 
 
 def unpermute(a, row_perm, col_perm):
@@ -427,16 +420,25 @@ def _transpose_in_place(m):
             m[c0:c1, r0:r1] = upper.T
 
 
-def _reconstruct(h, left, right):
-    """Undo the left rotations on the rows of h, then the right ones on its columns.
+def conjugate_reconstruct(h, rotations):
+    """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order.
 
-    h is a dense array, which is copied and left untouched, or a stored
-    cores.CoreSparse, whose fresh dense form is the buffer. All the work
-    runs in that one C-ordered buffer: the right rotations are undone on its
-    rows after an in-place transpose, and its transposed view is returned.
-    A buffer of at most _WAVE_ROWS rows undoes each side in _waves batches,
-    scheduled once when right is left; a larger one rotation by rotation.
-    Both give the same bits.
+    h is a dense array or a stored core; see two_basis_reconstruct.
+    """
+    return two_basis_reconstruct(h, rotations, rotations)
+
+
+def two_basis_reconstruct(h, left, right):
+    """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders.
+
+    Undoes the left rotations on the rows of h, then the right ones on its
+    columns. h is a dense array, which is copied and left untouched, or a
+    stored cores.CoreSparse, whose fresh dense form is the buffer. All the
+    work runs in that one C-ordered buffer: the right rotations are undone
+    on its rows after an in-place transpose, and its transposed view is
+    returned. A buffer of at most _WAVE_ROWS rows undoes each side in
+    _waves batches, scheduled once when right is left; a larger one
+    rotation by rotation. Both give the same bits.
     """
     m = h.to_dense() if isinstance(h, CoreSparse) else np.array(h, dtype=np.float64, order="C")
     n = m.shape[0]
@@ -449,19 +451,3 @@ def _reconstruct(h, left, right):
     _transpose_in_place(m)
     undo(m, sides[1])
     return m.T
-
-
-def conjugate_reconstruct(h, rotations):
-    """G_1 (... (G_L h G_L^T) ...) G_1^T for the recorded rotation order.
-
-    h is a dense array or a stored core; see _reconstruct.
-    """
-    return _reconstruct(h, rotations, rotations)
-
-
-def two_basis_reconstruct(h, left, right):
-    """P_1 ... P_L h Q_L^T ... Q_1^T for the recorded rotation orders.
-
-    h is a dense array or a stored core; see _reconstruct.
-    """
-    return _reconstruct(h, left, right)

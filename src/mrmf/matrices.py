@@ -51,12 +51,14 @@ class SquareMatrix:
     def _owning(cls, arr):
         """Wrap a fresh float64 array that no one else holds, without a copy.
 
-        The array must be square and finite; it is marked read-only, and
-        the caller keeps no writable reference to it.
+        The array must be square, at least 1 x 1 and finite; it is marked
+        read-only, and the caller keeps no writable reference to it.
         """
         _as_float_array(arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MatrixFormatError(f"expected a square 2-d array, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise MatrixFormatError("matrix dimension must be positive")
         arr.flags.writeable = False
         return cls(arr.shape[0], dense=arr)
 

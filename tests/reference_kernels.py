@@ -6,7 +6,7 @@ shared level kernel and the current reconstruction replaced them in
 reproduce them: bit for bit for the sweeps and the direct reconstruction,
 within rounding for the conjugation reconstruction. They record each
 rotation as its own (i, j, theta) tuple, independent of the package's
-stored form.
+stored form, and both sweeps return the package's one state shape.
 """
 
 from __future__ import annotations
@@ -87,9 +87,11 @@ def conjugation_sweep(a, core_size, rng, parity=None, stops=(), at_stop=None):
     `a` in place; on exit a holds the rotated matrix with rows and columns
     permuted identically by the returned label array. Nothing is deferred,
     so at each active size k in stops, before that level, the state so far
-    goes to at_stop(rotations, perm, retired_labels) as it stands.
+    goes to at_stop in the returned form, as it stands.
 
-    Returns (rotations, perm, retired_labels).
+    Returns the two-basis state (rotations, rotations, perm, perm,
+    retired_labels, retired_labels): one rotation list, label array and
+    retired list serve both sides.
     """
     n = a.shape[0]
     perm = np.arange(n)
@@ -99,7 +101,8 @@ def conjugation_sweep(a, core_size, rng, parity=None, stops=(), at_stop=None):
     retired = []
     while k > stop:
         if k in stops:
-            at_stop(list(rotations), perm, list(retired))
+            done, gone = list(rotations), list(retired)
+            at_stop(done, done, perm, perm, gone, gone)
         ip = int(rng.integers(k))
         sims = a[:k, :k] @ a[ip, :k]
         g_ii = float(sims[ip])
@@ -122,7 +125,7 @@ def conjugation_sweep(a, core_size, rng, parity=None, stops=(), at_stop=None):
             a[:, [tp, k - 1]] = a[:, [k - 1, tp]]
             perm[[tp, k - 1]] = perm[[k - 1, tp]]
         k -= 1
-    return rotations, perm, retired
+    return rotations, rotations, perm, perm, retired, retired
 
 
 def two_basis_sweep(a, core_size, rng, stops=(), at_stop=None):

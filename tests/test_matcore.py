@@ -150,6 +150,14 @@ def test_from_coo_rejects_duplicate_explicit_zero():
         SquareMatrix.from_coo(2, [0, 0], [0, 0], [0.0, 1.0])
 
 
+def test_empty_matrix_is_refused_in_both_forms():
+    # a 0 x 0 matrix would be written as "0 0 0", which the parser refuses
+    for build in (lambda: SquareMatrix.from_dense(np.zeros((0, 0))),
+                  lambda: SquareMatrix.from_coo(0, [], [], [])):
+        with pytest.raises(MatrixFormatError, match="matrix dimension must be positive"):
+            build()
+
+
 # ---------------------------------------------------------------- rotations
 
 

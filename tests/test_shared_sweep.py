@@ -9,6 +9,8 @@ results from one sweep), and so does run_sweep, whose rows must equal
 standalone compression_error runs at their seeds.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -311,4 +313,28 @@ def test_a_failed_build_stays_in_its_group(two_matrices, monkeypatch):
     assert {r["method"] for r in result.rows} == set(config.methods)
     for row in result.rows:
         got = compression_error(A, row["method"], row["budget"], row["seed"])
+        assert (row["error"], row["storage"], row["param"]) == got, row
+
+
+def test_a_non_ascii_name_gets_its_own_seed(tmp_path):
+    # a name the manifest spells in UTF-8 is seeded from its UTF-8 bytes;
+    # an ASCII name keeps the seed it always had
+    rng = np.random.default_rng(22)
+    (tmp_path / "cache" / "G").mkdir(parents=True)
+    mats = {}
+    for name in ("café", "plain"):
+        A = SquareMatrix.from_dense(rng.standard_normal((16, 16)))
+        (tmp_path / "cache" / "G" / f"{name}.mtx").write_bytes(write_matrix_market(A))
+        mats[f"G/{name}"] = A
+    (tmp_path / "manifest.txt").write_text("G/café\nG/plain\n", encoding="utf-8")
+    config = _config(tmp_path, methods=("cur", "direct-topn"), fractions=(0.5,), trials=1)
+    result = run_sweep(config, http_get=_no_net)
+    assert result.failures == ()
+    assert [f"{r['group']}/{r['name']}" for r in result.rows] == ["G/café"] * 2 + ["G/plain"] * 2
+    assert derive_seed(3, "G/plain", "cur", 0) == 112311422
+    assert derive_seed(3, "G/café", "cur", 0) == zlib.crc32("3|G/café|cur|0".encode("utf-8"))
+    for row in result.rows:
+        label = f"{row['group']}/{row['name']}"
+        assert row["seed"] == derive_seed(3, label, bench._route(row["method"]), 0)
+        got = compression_error(mats[label], row["method"], row["budget"], row["seed"])
         assert (row["error"], row["storage"], row["param"]) == got, row

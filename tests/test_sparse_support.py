@@ -52,7 +52,7 @@ def _sweep(a, d, parity):
     a = a.copy()
     rng = np.random.default_rng(d)
     if parity is not None:
-        rotations, perm, retired = jacobi.conjugation_sweep(a, d, rng, parity=parity)
+        rotations, _, perm, _, retired, _ = jacobi.conjugation_sweep(a, d, rng, parity=parity)
         return a, [rotations], [perm], [retired]
     left, right, row_perm, col_perm, row_ret, col_ret = jacobi.two_basis_sweep(a, d, rng)
     return a, [left, right], [row_perm, col_perm], [row_ret, col_ret]
