@@ -42,12 +42,14 @@ class Factorization:
     conjugate: bool = False
 
     def __post_init__(self):
-        for name, dtype in (("left", ROTATION), ("right", ROTATION),
-                            ("row_retired", np.int64), ("col_retired", np.int64)):
-            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
-        if self.conjugate:  # so a reconstruction schedules the waves once
-            object.__setattr__(self, "right", self.left)
-            object.__setattr__(self, "col_retired", self.row_retired)
+        for name, twin, dtype in (("left", "right", ROTATION),
+                                  ("row_retired", "col_retired", np.int64)):
+            kept = frozen(getattr(self, name), dtype)
+            object.__setattr__(self, name, kept)
+            # conjugate: one array for both sides, so a reconstruction
+            # schedules the waves once
+            object.__setattr__(self, twin, kept if self.conjugate
+                               else frozen(getattr(self, twin), dtype))
 
     @property
     def core_rows(self):

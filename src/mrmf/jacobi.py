@@ -8,14 +8,19 @@ always carry original labels. A sweep returns its rotations as one
 matrices.ROTATION record array and its retired labels as an int64 array.
 
 While the active block has more than _SUPPORT_FLOOR rows, a level whose
-pivot row has fewer than cols / _SUPPORT_RATIO nonzeros scores partners on
-that row's support only, gathering those columns instead of reading the
-whole block. Under conjugation the active block is symmetric (or skew) up
-to round-off, so those columns are read as the contiguous rows a[nz, :rows]
-(negated for a skew half) instead of strided. Zero terms add nothing, so the
+pivot row is sparse enough scores partners on that row's support only,
+gathering those columns instead of reading the whole block. How sparse
+depends on the memory the gather reads. The two-basis row phase gathers
+strided columns a[:rows, nz], which cost far more per entry than the GEMV,
+so it gathers below cols / _SUPPORT_RATIO nonzeros. The column phase (the
+kernel on ``a.T``) and conjugation read contiguous rows a[nz, :rows]:
+under conjugation the active block is symmetric (or skew) up to round-off,
+so the support columns are read as rows (negated for a skew half). Those
+gathers break even with the GEMV between densities 1/4 and 1/6 and gather
+below cols / _ROW_SUPPORT_RATIO nonzeros. Zero terms add nothing, so the
 scores are the full product's up to the summation order of the nonzero
-terms, and rows with disjoint support still score exactly 0. Smaller blocks
-always run the full product.
+terms, and rows with disjoint support still score exactly 0. Smaller
+blocks always run the full product.
 
 Both sweeps are one driver (_sweep) running one row-level kernel. On the
 transposed view ``a.T`` a row rotation or swap is the column rotation or
@@ -49,12 +54,16 @@ from .cores import CoreSparse
 from .matrices import ROTATION, givens_from_gram2
 
 # up to the floor a sweep stays bit for bit the full product's, so small
-# inputs keep their outputs. Only the two-basis row phase gathers strided
+# inputs keep their outputs. The two-basis row phase gathers strided
 # columns, which cost 15-44x the GEMV per entry (n = 2000 and 4000, one and
-# two BLAS threads); the ratio sits above that break-even, and conjugation
-# and the column phase, which gather contiguous rows, are cheaper still
+# two BLAS threads; at density 1/8 the gather still costs 1.6-7x the GEMV),
+# so its ratio sits above that break-even. Conjugation and the column phase
+# gather contiguous rows: at k = 2000 and two BLAS threads that costs 1.40x
+# the GEMV at density 1/4, 0.92x at 1/6 and 0.75x at 1/8 (0.25x at k = 1000,
+# one thread), so their ratio leaves a margin below the break-even
 _SUPPORT_FLOOR = 512
 _SUPPORT_RATIO = 48
+_ROW_SUPPORT_RATIO = 8
 # rows of the retired tail replayed per block: the transposed block copy
 # holds at most n x _REPLAY_ROWS doubles
 _REPLAY_ROWS = 512
@@ -89,15 +98,18 @@ def _pick_retire(pos_a, pos_b, mass_a, mass_b, labels):
     return pos_a if labels[pos_a] <= labels[pos_b] else pos_b
 
 
-def _pivot_support(x, rows):
+def _pivot_support(x, rows, strided):
     """Columns of the pivot row x to score on, or None for the full product.
 
-    The floor is tested first, so small blocks never scan x.
+    strided says whether the gather reads strided columns (_SUPPORT_RATIO)
+    or contiguous rows (_ROW_SUPPORT_RATIO). The floor is tested first, so
+    small blocks never scan x.
     """
     if rows <= _SUPPORT_FLOOR:
         return None
     nz = x.nonzero()[0]
-    return nz if _SUPPORT_RATIO * nz.size < x.size else None
+    ratio = _SUPPORT_RATIO if strided else _ROW_SUPPORT_RATIO
+    return nz if ratio * nz.size < x.size else None
 
 
 def _row_gather(x, nz, a, rows, skew):
@@ -154,7 +166,9 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     retirement mass leaves out the diagonal entry.
 
     The similarities are a[:rows, :cols] @ x for the pivot row x, or the
-    product over x's support columns when _pivot_support returns them.
+    product over x's support columns when _pivot_support returns them;
+    those columns are strided in memory only when parity and tail are both
+    None (the two-basis row phase).
 
     With a tail list, the side whose rows are strided in memory (``a``
     itself when parity is None, ``a.T`` under conjugation) is worked on
@@ -175,7 +189,7 @@ def _level(a, rows, cols, ip, labels, parity=None, tail=None):
     the swap; the retired label is then labels[rows - 1].
     """
     x = a[ip, :cols]
-    nz = _pivot_support(x, rows)
+    nz = _pivot_support(x, rows, parity is None and tail is None)
     if nz is None:
         sims = a[:rows, :cols] @ x
     elif parity is None:

@@ -24,6 +24,7 @@ from mrmf import (
     reconstruct,
     solve_core_size,
 )
+from mrmf import direct
 from mrmf.jacobi import conjugate_reconstruct
 from mrmf.storage import DENSE
 
@@ -41,6 +42,31 @@ def _check_conjugate(F):
     # changes no bits
     want = conjugate_reconstruct(F.H.to_dense(), F.left)
     assert reconstruct(F).to_dense().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("conjugate", (True, False))
+def test_factorization_stores_read_only_copies_once(conjugate, monkeypatch):
+    m = np.random.default_rng(4).standard_normal((12, 12))
+    F = factor_symmetric(SquareMatrix.from_dense(m + m.T), 5, 2)
+    caller = {side: np.array(getattr(F, side)) for side in
+             ("left", "right", "row_retired", "col_retired")}
+    copies = []
+    freeze = direct.frozen
+
+    def counting(values, dtype):
+        copies.append(values)
+        return freeze(values, dtype)
+
+    monkeypatch.setattr(direct, "frozen", counting)
+    G = direct.Factorization(F.n, H=F.H, conjugate=conjugate, **caller)
+    # a conjugate factorization copies only the fields it keeps
+    kept = ("left", "row_retired") if conjugate else tuple(caller)
+    assert [id(v) for v in copies] == [id(caller[side]) for side in kept]
+    assert (G.right is G.left and G.col_retired is G.row_retired) == conjugate
+    for side, arr in caller.items():
+        stored = getattr(G, side)
+        assert not np.shares_memory(stored, arr) and not stored.flags.writeable
+        assert stored.tolist() == arr.tolist()
 
 
 @st.composite

@@ -73,8 +73,8 @@ def test_each_stop_is_the_sweep_to_its_size(name, half, monkeypatch):
     gathered = []
     support = jacobi._pivot_support
 
-    def counting(x, rows):
-        nz = support(x, rows)
+    def counting(x, rows, strided):
+        nz = support(x, rows, strided)
         gathered.append(nz is not None)
         return nz
 

@@ -26,16 +26,17 @@ from test_kernels import INPUTS
 def _count_supports(monkeypatch):
     """Wrap the kernel's support choice and its row gather.
 
-    The first list counts levels that gathered, the second the conjugation
-    levels among them that read the pivot's support along rows.
+    The first list holds (strided, support size, cols) for each level that
+    gathered, the second the skew flag of the conjugation levels among them
+    that read the pivot's support along rows.
     """
     gathered, by_rows = [], []
     choose, gather = jacobi._pivot_support, jacobi._row_gather
 
-    def counting(x, rows):
-        nz = choose(x, rows)
+    def counting(x, rows, strided):
+        nz = choose(x, rows, strided)
         if nz is not None:
-            gathered.append(nz.size)
+            gathered.append((strided, nz.size, x.size))
         return nz
 
     def counting_rows(x, nz, a, rows, skew):
@@ -69,12 +70,13 @@ def test_forced_support_product_matches_full_product(name, half, monkeypatch):
             gathered, by_rows = _count_supports(patch)
             want = _sweep(a, d, parity)
             assert gathered == [] and by_rows == []  # n < floor: the full product
-            # a ratio low enough that these n <= 300 inputs gather; at 1, a
-            # level of spread64's skew half gathers on a Gram block that is
-            # a multiple of the identity up to round-off, where the angle
-            # may jump between 0 and pi/4 (both diagonalize it)
+            # ratios low enough that these n <= 300 inputs gather in every
+            # direction; at 1, a level of spread64's skew half gathers on a
+            # Gram block that is a multiple of the identity up to round-off,
+            # where the angle may jump between 0 and pi/4 (both diagonalize it)
             patch.setattr(jacobi, "_SUPPORT_FLOOR", 0)
             patch.setattr(jacobi, "_SUPPORT_RATIO", 8)
+            patch.setattr(jacobi, "_ROW_SUPPORT_RATIO", 8)
             got = _sweep(a, d, parity)
         if d == 1:
             assert gathered  # the sparse inputs gather on their early levels
@@ -107,16 +109,22 @@ def above_floor():
     return A, StorageBudget(0.02, DENSE).scalars(A)
 
 
+def _factored(A, scalars, method):
+    """(error, pairs per side, retired labels per side) of one route on A."""
+    if method == "additive":
+        G = factor_additive(A, scalars, seed=5)
+        approx, sides = reconstruct_additive(G), (G.sym.left, G.skew.left)
+        retired = (G.sym.row_retired, G.skew.row_retired)
+    else:
+        d = solve_core_size(A, method, scalars)
+        F = factor_direct(A, d, Sparsifier("greedytopn"), seed=5)
+        approx, sides, retired = reconstruct(F), (F.left, F.right), (F.row_retired, F.col_retired)
+    return (frobenius_relative_error(A, approx), [s[["i", "j"]].tolist() for s in sides],
+            [r.tolist() for r in retired])
+
+
 def _direct_and_additive(A, scalars):
-    d = solve_core_size(A, "direct-greedytopn", scalars)
-    F = factor_direct(A, d, Sparsifier("greedytopn"), seed=5)
-    G = factor_additive(A, scalars, seed=5)
-    errors = (frobenius_relative_error(A, reconstruct(F)),
-              frobenius_relative_error(A, reconstruct_additive(G)))
-    pairs = tuple(side[["i", "j"]].tolist() for side in (F.left, F.right, G.sym.left, G.skew.left))
-    retired = tuple(r.tolist() for r in (F.row_retired, F.col_retired,
-                                          G.sym.row_retired, G.skew.row_retired))
-    return errors, pairs, retired
+    return tuple(zip(*(_factored(A, scalars, m) for m in ("direct-greedytopn", "additive"))))
 
 
 def test_support_product_runs_above_the_floor(above_floor, monkeypatch):
@@ -137,6 +145,29 @@ def test_support_product_runs_above_the_floor(above_floor, monkeypatch):
     assert got_retired == want_retired
     for got, want in zip(got_errors, want_errors):
         assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("method", ("direct-greedytopn", "additive"))
+def test_each_direction_gathers_at_its_own_ratio(above_floor, method, monkeypatch):
+    A, scalars = above_floor
+    gathered, by_rows = _count_supports(monkeypatch)
+    got = _factored(A, scalars, method)
+    strided = [(nz, cols) for s, nz, cols in gathered if s]
+    rows = [(nz, cols) for s, nz, cols in gathered if not s]
+    # the two-basis row phase gathers strided columns only below cols / 48;
+    # conjugation and the direct column phase read contiguous rows, and
+    # some of their levels gather pivots the strided ratio would not
+    assert all(jacobi._SUPPORT_RATIO * nz < cols for nz, cols in strided)
+    assert all(jacobi._ROW_SUPPORT_RATIO * nz < cols for nz, cols in rows)
+    assert any(cols <= jacobi._SUPPORT_RATIO * nz for nz, cols in rows)
+    if method == "additive":
+        assert strided == [] and len(by_rows) == len(rows)
+    else:
+        assert strided and by_rows == []
+    monkeypatch.setattr(jacobi, "_SUPPORT_FLOOR", A.n)
+    want = _factored(A, scalars, method)
+    assert got[1:] == want[1:]
+    assert abs(got[0] - want[0]) <= 1e-12 * want[0]
 
 
 @pytest.mark.parametrize("method, densified", (("additive", 3), ("direct-greedytopn", 2)))
