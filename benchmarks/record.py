@@ -17,7 +17,9 @@ failed. A run whose output is not perfbench's two JSON lines, or that
 takes longer than RUN_TIMEOUT_S, is not recorded, and the exit code is 1.
 A record is appended by writing the whole list to a temporary file beside
 BENCH_W.json and renaming it over the old one, so an interrupted append
-leaves the old list whole.
+leaves the old list whole. A before/after comparison runs this script in
+the two checkouts alternately, seed by seed (the first side alternating
+too), so that machine drift does not read as a change.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Benchmark harness: compression sweeps, win tables, decay and rank scans.
 
 Every run is seeded by hashing a stable key string (run_seed: the matrix,
-the route and the trial), so a sweep is reproducible item by item
-regardless of worker scheduling, and rerunning a config at the same BLAS
-thread count yields byte-identical CSV (the thread
-count changes the BLAS reduction order, and with it the last bits of the
-rotation angles and errors). Reported storage is checked against the
-budget on every run — a factorization that overshoots its budget is a bug,
-not a data point.
+the route and the trial), so a sweep is reproducible item by item, and
+rerunning a config at the same BLAS thread count yields byte-identical CSV
+(the thread count changes the BLAS reduction order, and with it the last
+bits of the rotation angles and errors). Reported storage is checked
+against the budget on every run — a factorization that overshoots its
+budget is a bug, not a data point.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import io
 import json
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product, repeat
 from pathlib import Path
@@ -62,7 +60,7 @@ class SweepConfig:
     output: str
     accounting: str = SPARSE_COO
     cache_dir: str = "cache"
-    max_workers: int = 1
+    max_workers: int = 1  # checked, but items run one at a time in the calling thread
 
     def __post_init__(self):
         for key, values in (("methods", self.methods), ("fractions", self.fractions)):
@@ -301,8 +299,8 @@ def run_sweep(config, http_get=None, log=None):
     (manifest, methods, fractions, trials) and keys them into items, one
     per (matrix, route, trial), so one sweep serves every direct-* method
     and fraction and one sweep per half every additive fraction. The map
-    runs _run_item on each item in a bounded thread pool; the assembly
-    walks the rows in row order, so output is deterministic.
+    runs _run_item on one item at a time, in the calling thread; the
+    assembly walks the rows in row order, so output is deterministic.
     Matrices or runs that fail are recorded (matrix, stage, exception type
     name, message) and skipped, never fatal.
     """
@@ -332,11 +330,10 @@ def run_sweep(config, http_get=None, log=None):
                 plan.append((meta, key, row))
                 items.setdefault(key, (A, []))[1].append(row)
 
-    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        got = pool.map(_attempt, repeat(_run_item, len(items)), *zip(*items.values()))
-        # an item's outcomes follow its rows, which follow row order
-        outcomes = {key: repeat(out) if isinstance(out, Exception) else iter(out)
-                    for key, out in zip(items, got)}
+    got = map(_attempt, repeat(_run_item, len(items)), *zip(*items.values()))
+    # an item's outcomes follow its rows, which follow row order
+    outcomes = {key: repeat(out) if isinstance(out, Exception) else iter(out)
+                for key, out in zip(items, got)}
 
     done_rows = []
     cells = {}  # (matrix, method, fraction) -> (metadata, rows), in row order

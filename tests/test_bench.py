@@ -10,11 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrmf.bench
 import mrmf.storage
 from mrmf import (
     BudgetError,
@@ -534,7 +536,7 @@ def _timeless(text):
     return payload
 
 
-def test_sweep_outputs_do_not_depend_on_worker_count(sweep_env):
+def test_sweep_outputs_do_not_depend_on_worker_count(sweep_env, monkeypatch):
     tmp, _, cache, _ = sweep_env
     manifest = tmp / "manifest-workers.txt"
     manifest.write_text("Test/tiny\nMissing/gone\n")
@@ -542,6 +544,14 @@ def test_sweep_outputs_do_not_depend_on_worker_count(sweep_env):
     def not_found(url):
         raise MatrixNotFoundError("no such matrix")
 
+    # every item runs in the calling thread, whatever max_workers says
+    run_item, threads = mrmf.bench._run_item, []
+
+    def recording(A, rows):
+        threads.append(threading.get_ident())
+        return run_item(A, rows)
+
+    monkeypatch.setattr(mrmf.bench, "_run_item", recording)
     methods, fractions = ("hybrid", "additive", "cur"), (0.5, 0.02, 0.25)
     outputs = []
     for workers in (1, 2):
@@ -549,6 +559,7 @@ def test_sweep_outputs_do_not_depend_on_worker_count(sweep_env):
                       max_workers=workers)
         res = run_sweep(cfg, http_get=not_found)
         outputs.append((sweep_csv(res), _timeless(sweep_json(res, cfg))))
+    assert threads and set(threads) == {threading.get_ident()}
     assert outputs[0] == outputs[1]
     # 0.02 is below every method's minimum here: those cells fail and drop
     # out, and the others keep the methods-then-fractions order

@@ -54,8 +54,8 @@ def test_traced_runs_match_untraced(tracing):
 
 
 def test_traced_sweep_keeps_every_span(tracing, tmp_path):
-    # items on the sweep's pool threads open their own root spans; none may
-    # go missing or end outside its parent
+    # a sweep that asks for 2 workers runs its items in the calling thread,
+    # under bench.run; no span may go missing or end outside its parent
     rng = np.random.default_rng(6)
     (tmp_path / "cache" / "T").mkdir(parents=True)
     for name in ("a", "b"):
