@@ -47,11 +47,11 @@ def _write(path, text):
 
 
 def _load_matrix(spec, cache_dir):
-    """A local .mtx path, or group/name resolved through the cache."""
+    """A local .mtx path, or group/name resolved through the cache, stripped as in a manifest."""
     if spec.endswith(".mtx"):
         return parse_matrix_market(Path(spec).read_bytes())
-    group, slash, name = spec.partition("/")
-    if not (slash and group.strip() and name.strip()):
+    group, slash, name = (part.strip() for part in spec.partition("/"))
+    if not (slash and group and name):
         raise ValueError(f"expected group/name or a .mtx path, got {spec!r}")
     return fetch_suitesparse(group, name, cache_dir)
 

@@ -7,9 +7,9 @@ the full general form so downstream code never sees folded triangles.
 
 Matrix Market I/O works on bytes and never holds a decoded copy of the
 whole text. Measured with tracemalloc on a general text of 100k entries,
-parsing bytes peaks at 3.4x the text on top of it (a str input at 4.4x:
+parsing bytes peaks at 2.5x the text on top of it (a str input at 3.5x:
 its UTF-8 copy adds one) and writing at 2.9x the output; on 495k entries,
-at 3.4x and 1.5x.
+at 2.5x and 1.5x.
 """
 
 from __future__ import annotations

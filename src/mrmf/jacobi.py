@@ -72,10 +72,11 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # side of the square tiles an in-place transpose swaps
 _TILE = 128
 # buffers of at most _WAVE_ROWS rows undo their rotations in waves of
-# disjoint pairs, larger ones a rotation at a time: on a sweep's rotations
-# waves take 0.40 of the loop's time at n = 256, 0.74 at 1024, 0.95 at 1536
-# and 1.19 at 2000 (one BLAS thread)
-_WAVE_ROWS = 1536
+# disjoint pairs, larger ones a rotation at a time. Over a whole
+# two_basis_reconstruct of a sweep's rotations (one BLAS thread, best of 7;
+# README gives the inputs), waves take 0.76-0.82 of the loop's time at
+# n = 512, 0.77-1.01 at 768, 1.00-1.26 at 1024 and 1.58-1.77 at 2000
+_WAVE_ROWS = 768
 # pairs of a wave undone per gather: a batch holds 4 * _WAVE_PAIRS rows, and
 # 40 pairs would lift a reconstruction at n = 512 above 1.5 n x n arrays
 _WAVE_PAIRS = 32

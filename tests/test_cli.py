@@ -121,6 +121,29 @@ def test_factor_from_cache_by_name(cli_env, capsys):
     assert out.startswith("cur @ 0.25: error=")
 
 
+def test_factor_strips_group_and_name_as_the_manifest_does(cli_env, capsys, tmp_path,
+                                                            monkeypatch):
+    _, cache, _, _ = cli_env
+
+    def no_download(url, timeout=60.0):
+        pytest.fail(f"a cached matrix reached the download: {url}")
+
+    monkeypatch.setattr(mrmf.data, "_default_http_get", no_download)
+    reports = []
+    for spec in ("Test/tiny", " Test / tiny"):
+        out = tmp_path / "report.json"
+        rc = main(["factor", "--matrix", spec, "--method", "cur", "--fraction", "0.3",
+                   "--seed", "4", "--cache-dir", str(cache), "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["matrix"].pop("source") == spec
+        reports.append(report)
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert reports[0]["matrix"]["group"] == "Test"
+    assert reports[0]["matrix"]["name"] == "tiny"
+
+
 def test_factor_seeds_by_matrix_identity_not_path(tmp_path, capsys):
     # one file at two paths is one matrix: one seed, one report
     m = np.random.default_rng(2).standard_normal((24, 24))
