@@ -11,15 +11,16 @@ For each workload (by default every one BENCHMARK.json declares) it runs
 
 once and appends one record to BENCH_W.json, a JSON list kept in run
 order: the git revision and whether the tree was dirty (the BENCH files
-themselves aside), the seed, the report's environment, the four
-end-to-end values, the pass walls, the error.* values, and correct and
-failed. A run whose output is not perfbench's two JSON lines, or that
-takes longer than RUN_TIMEOUT_S, is not recorded, and the exit code is 1.
-A record is appended by writing the whole list to a temporary file beside
-BENCH_W.json and renaming it over the old one, so an interrupted append
-leaves the old list whole. A before/after comparison runs this script in
-the two checkouts alternately, seed by seed (the first side alternating
-too), so that machine drift does not read as a change.
+themselves aside), the seed, the report's environment, the values of the
+end-to-end metrics that BENCHMARK.json declares, the pass walls, the
+error.* values, and correct and failed. A run whose output is not
+perfbench's two JSON lines, or that takes longer than RUN_TIMEOUT_S, is
+not recorded, and the exit code is 1. A record is appended by writing the
+whole list to a temporary file beside BENCH_W.json and renaming it over
+the old one, so an interrupted append leaves the old list whole. A
+before/after comparison runs this script in the two checkouts
+alternately, seed by seed (the first side alternating too), so that
+machine drift does not read as a change.
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-END_TO_END = ("setup_s", "pass_s", "cpu_s", "peak_rss_mb")
 RUN_TIMEOUT_S = 600  # a run takes under a minute
 
 
+def declared(section):
+    """The names BENCHMARK.json lists under section, in its order."""
+    return [e["name"] for e in json.loads((ROOT / "BENCHMARK.json").read_text())[section]]
+
+
 def workloads():
-    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    return declared("workloads")
 
 
 def git_state():
@@ -71,7 +76,7 @@ def record_of(stdout, workload, seed, revision, dirty):
         "workload": workload,
         "seed": seed,
         "environment": report["environment"],
-        "end_to_end": {k: result["metrics"][k]["value"] for k in END_TO_END},
+        "end_to_end": {k: result["metrics"][k]["value"] for k in declared("end_to_end")},
         "pass_walls_s": report["pass_walls_s"],
         "errors": {k: v["value"] for k, v in report["detail"].items() if k.startswith("error.")},
         "correct": result["correct"],

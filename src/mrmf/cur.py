@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cores import GREEDY_TOP_N, Sparsifier, sparsify
-from .direct import sweep_and_truncate
+from .cores import GREEDY_TOP_N, Sparsifier
+from .direct import kept_by, sweep_and_truncate
 from .matrices import SquareMatrix, frobenius_relative_error, frozen, index_set
 from .storage import solve_core_size
 
@@ -120,6 +120,5 @@ def hybrid_compress(A, r, k, seed):
     d = solve_core_size(A, "hybrid", k)
     cur_seed, mmf_seed = np.random.SeedSequence(seed).spawn(2)
     M = reconstruct_cur(cur_decompose(A, r, cur_seed))
-    rule = Sparsifier(GREEDY_TOP_N)
-    cut = (d, lambda h, rows, cols: sparsify(h, rows, cols, rule))
+    cut = (d, kept_by(Sparsifier(GREEDY_TOP_N)))
     return sweep_and_truncate(M, [cut], mmf_seed, parity=None, owned=True)[0]

@@ -77,7 +77,7 @@ def _scrape_comments(comments):
         if low.startswith("name:"):
             full = body[5:].strip()
             if "/" in full:
-                group, name = full.split("/", 1)
+                group, name = (part.strip() for part in full.split("/", 1))
             else:
                 name = full
         elif low.startswith("kind:"):

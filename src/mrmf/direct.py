@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .cores import TOP_N, CoreSparse, Sparsifier, sparsify
+from .cores import CoreSparse, Sparsifier, sparsify
 from .jacobi import conjugation_sweep, two_basis_reconstruct, two_basis_sweep, unpermute
 from .matrices import ROTATION, SquareMatrix, check_parity, frozen
 
@@ -81,6 +81,11 @@ def shaped_like(size, results):
     return tuple(results) if isinstance(size, tuple) else results[0]
 
 
+def kept_by(rule):
+    """The cut that stores what the cores.Sparsifier rule keeps of h."""
+    return lambda h, rows, cols: sparsify(h, rows, cols, rule)
+
+
 def sweep_and_truncate(A, cuts, seed, parity, owned=False):
     """Sweep A once and cut one Factorization per (core_size, truncate) pair.
 
@@ -91,13 +96,12 @@ def sweep_and_truncate(A, cuts, seed, parity, owned=False):
     index, so there core sizes 0 and 1 are one stop. At each stop the
     rotated matrix is unpermuted once, and every cut at that stop truncates
     it: truncate(h, rows, cols) turns it and the surviving core sets into
-    the stored CoreSparse; None keeps every entry (topn with m = n * n), the
-    lossless form. So one n x n snapshot is alive at a time, and each cut is
-    bit for bit the one a sweep of its own would give. The working copy is
-    dropped once the last stop is unpermuted, before its cuts truncate, so
-    for a COO input at most two n x n arrays are alive here. owned says
-    that A's dense array is the caller's to give up (hybrid's fresh M =
-    CUR): the sweep then works in it, not in a copy.
+    the stored CoreSparse. So one n x n snapshot is alive at a time, and
+    each cut is bit for bit the one a sweep of its own would give. The
+    working copy is dropped once the last stop is unpermuted, before its
+    cuts truncate, so for a COO input at most two n x n arrays are alive
+    here. owned says that A's dense array is the caller's to give up
+    (hybrid's fresh M = CUR): the sweep then works in it, not in a copy.
 
     Returns the factorizations in the order of cuts. Each core size must
     lie in [1, n], or [0, n] for a skew sweep.
@@ -116,7 +120,6 @@ def sweep_and_truncate(A, cuts, seed, parity, owned=False):
     else:
         a = a.copy()
     rng = np.random.default_rng(seed)
-    lossless = Sparsifier(TOP_N, m=n * n)
     stop_of = [max(d, 1) if conjugate else d for d, _ in cuts]
     out = [None] * len(cuts)
 
@@ -128,7 +131,7 @@ def sweep_and_truncate(A, cuts, seed, parity, owned=False):
         for k, (d, truncate) in enumerate(cuts):
             if stop_of[k] == n - len(left):
                 rows, cols = (np.sort(p[:d]) for p in (row_perm, col_perm))
-                h = truncate(hbar, rows, cols) if truncate else sparsify(hbar, rows, cols, lossless)
+                h = truncate(hbar, rows, cols)
                 out[k] = Factorization(n, left, right, h, row_ret, col_ret, conjugate)
 
     deepest = min(d for d, _ in cuts)
@@ -138,26 +141,24 @@ def sweep_and_truncate(A, cuts, seed, parity, owned=False):
     return out
 
 
-def factor_direct(A, core_size, sparsifier, seed, truncate=True):
+def factor_direct(A, core_size, sparsifier, seed):
     """Greedy two-sided factorization down to a core_size x core_size core.
 
     sparsifier: a cores.Sparsifier; its entry budget m defaults to n - d.
-    truncate=False keeps the full rotated matrix in H regardless of the
-    sparsifier (lossless round trip). core_size may be a tuple of core
-    sizes with a matching tuple of sparsifiers: one sweep then serves them
-    all, and a tuple of Factorizations comes back, each bit for bit the
-    one its own call would return.
+    Sparsifier("topn", m=n * n) keeps every entry, the untruncated form:
+    the unpermuted working matrix after the first n - core_size levels of
+    any deeper run (the same cut of a conjugation sweep is the untruncated
+    symmetric or skew form). core_size may be a tuple of core sizes with a
+    matching tuple of sparsifiers: one sweep then serves them all, and a
+    tuple of Factorizations comes back, each bit for bit the one its own
+    call would return.
     """
     sizes, rules = sizes_of(core_size), sizes_of(sparsifier)
     if len(rules) != len(sizes):
         raise ValueError("give one sparsifier per core size")
     if not all(isinstance(rule, Sparsifier) for rule in rules):
         raise TypeError("sparsifier must be a cores.Sparsifier")
-
-    def truncation(rule):
-        return (lambda h, rows, cols: sparsify(h, rows, cols, rule)) if truncate else None
-
-    cuts = [(d, truncation(rule)) for d, rule in zip(sizes, rules)]
+    cuts = [(d, kept_by(rule)) for d, rule in zip(sizes, rules)]
     return shaped_like(core_size, sweep_and_truncate(A, cuts, seed, parity=None))
 
 

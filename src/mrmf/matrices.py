@@ -67,6 +67,8 @@ class SquareMatrix:
         n = int(n)
         if n <= 0:
             raise MatrixFormatError("matrix dimension must be positive")
+        if n > math.isqrt(2**63 - 1):  # every position rows * n + cols must fit in int64
+            raise MatrixFormatError(f"matrix dimension {n} overflows int64 row-major positions")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = _as_float_array(values)

@@ -17,18 +17,15 @@ def _pairs(h, rows, cols):
     return murnaghan_sparsify(h, rows)
 
 
-def factor_skew(K, core_size, seed, truncate=True):
+def factor_skew(K, core_size, seed):
     """Greedy skew factorization; core_size may be zero (pure pairing form).
 
     The level loop needs two active indices to rotate, so it stops at one
     active index when core_size = 0 and that leftover joins the pairing pool.
-    With the default truncation every off-core entry (p, q, v) of H is
-    stored with its exact mirror (q, p, -v) and no index appears in two
-    pairs; truncate=False keeps the rotated matrix verbatim instead, the
-    unpermuted working matrix after the first n - core_size levels of any
-    deeper run. A tuple of core sizes gives a tuple of factorizations from
-    one sweep, each bit for bit the one its own call would return.
+    Every off-core entry (p, q, v) of H is stored with its exact mirror
+    (q, p, -v) and no index appears in two pairs. A tuple of core sizes
+    gives a tuple of factorizations from one sweep, each bit for bit the
+    one its own call would return.
     """
-    rule = _pairs if truncate else None
-    cuts = [(d, rule) for d in sizes_of(core_size)]
+    cuts = [(d, _pairs) for d in sizes_of(core_size)]
     return shaped_like(core_size, sweep_and_truncate(K, cuts, seed, parity=True))

@@ -41,7 +41,10 @@ class StorageBudget:
         return 3 * A.nnz if self.accounting == SPARSE_COO else A.n * A.n
 
     def scalars(self, A):
-        return int(math.ceil(self.fraction * self.base(A)))
+        k = self.fraction * self.base(A)
+        if not math.isfinite(k):
+            raise ValueError(f"fraction {self.fraction} of {self.base(A)} scalars is not finite")
+        return int(math.ceil(k))
 
 
 def predicted_storage(n, method, d):

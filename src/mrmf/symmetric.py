@@ -10,22 +10,15 @@ off-diagonal residual is smaller.
 
 from __future__ import annotations
 
-from .cores import CORE_DIAGONAL, Sparsifier, sparsify
-from .direct import shaped_like, sizes_of, sweep_and_truncate
+from .cores import CORE_DIAGONAL, Sparsifier
+from .direct import kept_by, shaped_like, sizes_of, sweep_and_truncate
 
 
-def _corediag(h, rows, cols):
-    return sparsify(h, rows, cols, Sparsifier(CORE_DIAGONAL))
-
-
-def factor_symmetric(A, core_size, seed, truncate=True):
+def factor_symmetric(A, core_size, seed):
     """Greedy symmetric factorization down to a core of core_size indices.
 
-    truncate=False keeps the full rotated matrix in H (lossless): the
-    unpermuted working matrix after the first n - core_size levels of any
-    deeper run. A tuple of core sizes gives a tuple of factorizations from
-    one sweep, each bit for bit the one its own call would return.
+    A tuple of core sizes gives a tuple of factorizations from one sweep,
+    each bit for bit the one its own call would return.
     """
-    rule = _corediag if truncate else None
-    cuts = [(d, rule) for d in sizes_of(core_size)]
+    cuts = [(d, kept_by(Sparsifier(CORE_DIAGONAL))) for d in sizes_of(core_size)]
     return shaped_like(core_size, sweep_and_truncate(A, cuts, seed, parity=False))

@@ -50,6 +50,7 @@ from mrmf.bench import (
 from mrmf.data import FetchError
 from mrmf.direct import reconstruct
 from reference_kernels import givens_matrix
+from untruncated import untruncated
 
 _REPO = Path(__file__).resolve().parents[1]
 
@@ -84,15 +85,15 @@ def _roundtrip_runs():
         for kind, A in cases:
             start = time.perf_counter()
             if kind == "direct":
-                F = factor_direct(A, 4, Sparsifier("topn"), seed=seed, truncate=False)
+                F = untruncated(A, 4, seed=seed)
                 recon = reconstruct(F)
                 rotseqs = [F.left, F.right]
             elif kind == "symmetric":
-                F = factor_symmetric(A, 4, seed=seed, truncate=False)
+                F = untruncated(A, 4, seed=seed, parity=False)
                 recon = reconstruct(F)
                 rotseqs = [F.left]
             else:
-                F = factor_skew(A, 4, seed=seed, truncate=False)
+                F = untruncated(A, 4, seed=seed, parity=True)
                 recon = reconstruct(F)
                 rotseqs = [F.left]
             elapsed = time.perf_counter() - start
@@ -110,9 +111,9 @@ def _dropped_mass_runs():
     M = np.random.default_rng(11).standard_normal((48, 48))
     runs = []
 
-    def pair_identity(A, make, recon, rotseqs):
-        F = make(truncate=True)
-        F_full = make(truncate=False)
+    def pair_identity(A, make, full, recon, rotseqs):
+        F = make()
+        F_full = full()
         base2 = np.linalg.norm(A.to_dense()) ** 2
         dropped2 = np.linalg.norm(F_full.H.to_dense() - F.H.to_dense()) ** 2
         err2 = frobenius_relative_error(A, recon(F)) ** 2 * base2
@@ -121,7 +122,8 @@ def _dropped_mass_runs():
     A = SquareMatrix.from_dense(M + M.T)
     gap, seqs = pair_identity(
         A,
-        lambda truncate: factor_symmetric(A, 6, seed=4, truncate=truncate),
+        lambda: factor_symmetric(A, 6, seed=4),
+        lambda: untruncated(A, 6, seed=4, parity=False),
         reconstruct,
         lambda F: [F.left],
     )
@@ -130,7 +132,8 @@ def _dropped_mass_runs():
     K = SquareMatrix.from_dense(M - M.T)
     gap, seqs = pair_identity(
         K,
-        lambda truncate: factor_skew(K, 4, seed=4, truncate=truncate),
+        lambda: factor_skew(K, 4, seed=4),
+        lambda: untruncated(K, 4, seed=4, parity=True),
         reconstruct,
         lambda F: [F.left],
     )
@@ -140,9 +143,8 @@ def _dropped_mass_runs():
     for kind in ("corediag", "topn", "greedytopn"):
         gap, seqs = pair_identity(
             G,
-            lambda truncate: factor_direct(
-                G, 6, Sparsifier(kind), seed=4, truncate=truncate
-            ),
+            lambda: factor_direct(G, 6, Sparsifier(kind), seed=4),
+            lambda: untruncated(G, 6, seed=4),
             reconstruct,
             lambda F: [F.left, F.right],
         )
@@ -199,7 +201,7 @@ def test_03_skew_preservation():
         M = np.random.default_rng(seed).standard_normal((64, 64))
         K = SquareMatrix.from_dense(M - M.T)
         for k in range(63, 1, -1):
-            m = factor_skew(K, k, seed=seed, truncate=False).H.to_dense()
+            m = untruncated(K, k, seed=seed, parity=True).H.to_dense()
             worst = max(worst, np.abs(m + m.T).max() / np.abs(m).max())
     ok = worst <= 1e-11
     _verdict(

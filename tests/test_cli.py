@@ -291,10 +291,13 @@ def test_infinite_fraction_is_usage_error(cli_env, capsys, tmp_path, command):
         "factor": ["factor", "--matrix", str(mtx), "--method", "cur"],
         "rankscan": ["rankscan", "--r-list", "3", "--out", str(tmp_path / "rank.csv")],
     }[command]
-    rc = main(argv + ["--fraction", "inf"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "fraction must be finite and positive" in captured.err
+    # 1e308 is finite, but its scalar budget is not
+    for fraction, message in (("inf", "fraction must be finite and positive"),
+                              ("1e308", "scalars is not finite")):
+        rc = main(argv + ["--fraction", fraction])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
 
 
 def test_factor_unknown_method_rejected_by_parser(cli_env):

@@ -63,6 +63,11 @@ def test_parse_scrapes_name_and_kind():
     _, meta = parse_matrix_market(fx.text)
     assert meta.name == "toy1"
     assert meta.kind == "directed weighted graph"
+    # group and name are stripped, as the manifest and `mrmf factor --matrix` strip them
+    _, meta = parse_matrix_market(
+        "%%MatrixMarket matrix coordinate real general\n% name: Test / tiny\n1 1 0\n"
+    )
+    assert (meta.group, meta.name) == ("Test", "tiny")
 
 
 def test_parse_keeps_non_ascii_comment_text():
@@ -93,6 +98,21 @@ def test_parse_zero_entry_count():
     )
     assert meta.nnz == 0
     assert np.array_equal(A.to_dense(), np.zeros((2, 2)))
+
+
+def test_parse_refuses_dimensions_whose_positions_overflow_int64():
+    # the row-major position rows * n + cols wraps past int64 for these n:
+    # (1, 6) and (2**31 + 1, 6) would meet, (n, n) would sort before (1, 1)
+    head = "%%MatrixMarket matrix coordinate real general\n"
+    for n, body in ((2**33, f"1 6 1\n{2**31 + 1} 6 2\n"), (2**32, f"1 1 1\n{2**32} {2**32} 2\n")):
+        with pytest.raises(MatrixFormatError, match=f"matrix dimension {n} overflows"):
+            parse_matrix_market(f"{head}{n} {n} 2\n{body}")
+    n = math.isqrt(2**63 - 1)  # the largest n whose positions fit
+    A, _ = parse_matrix_market(f"{head}{n} {n} 4\n{n} {n} 4\n{n} 1 3\n1 {n} 2\n1 1 1\n")
+    rows, cols, _ = A.to_coo()
+    assert (rows.tolist(), cols.tolist()) == ([0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1])
+    want = f"{head}{n} {n} 4\n1 1 1\n1 {n} 2\n{n} 1 3\n{n} {n} 4\n"
+    assert write_matrix_market(A).decode() == want
 
 
 def test_writer_format():

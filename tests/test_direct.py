@@ -17,6 +17,7 @@ from mrmf import (
     sparsify,
 )
 from reference_kernels import givens_matrix
+from untruncated import untruncated
 
 
 def dense(a):
@@ -67,7 +68,7 @@ def test_full_core_degenerate_loop():
 
 def test_untruncated_round_trip():
     A = random_general(6, seed=11)
-    F = factor_direct(A, 2, Sparsifier(GREEDY_TOP_N), seed=7, truncate=False)
+    F = untruncated(A, 2, seed=7)
     assert rel_err(A, F) <= 1e-10
     assert len(F.left) == len(F.right) == 4
 
@@ -161,7 +162,7 @@ def test_topn_dominates_others_at_equal_budget():
 def test_dropped_mass_identity():
     A = random_general(9, seed=23)
     for kind in ALL_KINDS:
-        full = factor_direct(A, 3, Sparsifier(kind), seed=9, truncate=False)
+        full = untruncated(A, 3, seed=9)
         trunc = factor_direct(A, 3, Sparsifier(kind), seed=9)
         dropped = full.H.to_dense() - trunc.H.to_dense()
         want = np.linalg.norm(dropped) / np.linalg.norm(A.to_dense())
@@ -216,7 +217,7 @@ def test_symmetric_input_mirrored_phases_reduction():
     # reconstructs a symmetric matrix
     a = np.random.default_rng(31).standard_normal((7, 7))
     A = dense((a + a.T) * 0.5)
-    F = factor_direct(A, 3, Sparsifier(TOP_N), seed=3, truncate=False)
+    F = untruncated(A, 3, seed=3)
     R = reconstruct(F).to_dense()
     assert np.max(np.abs(R - A.to_dense())) <= 1e-10
 
@@ -228,7 +229,7 @@ def test_symmetric_input_mirrored_phases_reduction():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_untruncated_round_trip_property(seed, d):
     A = random_general(6, seed=seed % 1009)
-    F = factor_direct(A, d, Sparsifier(TOP_N), seed, truncate=False)
+    F = untruncated(A, d, seed)
     assert rel_err(A, F) <= 1e-10
 
 

@@ -27,6 +27,7 @@ from mrmf import (
 from mrmf import direct
 from mrmf.jacobi import conjugate_reconstruct
 from mrmf.storage import DENSE
+from untruncated import untruncated
 
 
 def _check_conjugate(F):
@@ -89,10 +90,12 @@ def test_conjugate_routes_store_one_sequence_and_core_set(case, data):
     truncate = data.draw(st.booleans())
     if kind == "symmetric":
         d = data.draw(st.integers(1, n))
-        _check_conjugate(factor_symmetric(A, d, seed, truncate=truncate))
+        _check_conjugate(factor_symmetric(A, d, seed) if truncate
+                         else untruncated(A, d, seed, parity=False))
     else:
         d = data.draw(st.integers(0, n))
-        _check_conjugate(factor_skew(A, d, seed, truncate=truncate))
+        _check_conjugate(factor_skew(A, d, seed) if truncate
+                         else untruncated(A, d, seed, parity=True))
 
     # a purely symmetric or purely skew input leaves the other half empty
     budget = data.draw(st.integers(minimum_storage(n, kind), n * n + n))

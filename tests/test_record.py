@@ -22,7 +22,7 @@ def _load_recorder():
     return module
 
 
-def _canned(workload, seed, pass_s):
+def _canned(workload, seed, pass_s, **more_metrics):
     env = {"git_revision": None, "numpy": "2.4.6", "blas_threads": 2}
     report = {
         "workload": workload, "seed": seed, "trace": 0, "environment": env,
@@ -32,7 +32,8 @@ def _canned(workload, seed, pass_s):
                    "error.direct-greedytopn": {"value": 0.4548, "unit": "relative Frobenius"}},
         "failures": [],
     }
-    metrics = {"setup_s": 0.21, "pass_s": pass_s, "cpu_s": 3.47, "peak_rss_mb": 109.1}
+    metrics = {"setup_s": 0.21, "pass_s": pass_s, "cpu_s": 3.47, "peak_rss_mb": 109.1,
+               **more_metrics}
     result = {"correct": True, "attempted": 4, "failed": 0,
               "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}
     return json.dumps({"report": report}) + "\n" + json.dumps(result) + "\n"
@@ -86,6 +87,17 @@ def test_every_declared_workload_runs_by_default(recorder, tmp_path):
     assert [c[0][2] for c in recorder.commands] == names
     for w in names:
         assert len(json.loads((tmp_path / f"BENCH_{w}.json").read_text())) == 1
+
+
+def test_every_declared_end_to_end_metric_is_recorded(recorder, tmp_path):
+    bench = json.loads((tmp_path / "BENCHMARK.json").read_text())
+    bench["end_to_end"].append({"name": "gc_s", "unit": "s", "better": "lower", "bound": 0.25})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    recorder.outputs = [_canned("ingest-mtx", 9, 1.0, gc_s=0.05, trace_s=0.5)]
+    assert recorder.main(["--seed", "9", "--workload", "ingest-mtx"]) == 0
+    record, = json.loads((tmp_path / "BENCH_ingest-mtx.json").read_text())
+    assert record["end_to_end"] == {"setup_s": 0.21, "pass_s": 1.0, "cpu_s": 3.47,
+                                    "peak_rss_mb": 109.1, "gc_s": 0.05}
 
 
 def test_output_that_is_not_perfbenchs_is_not_recorded(recorder, tmp_path, capsys):

@@ -32,6 +32,7 @@ from mrmf.storage import StorageBudget
 from mrmf.skew import factor_skew
 from mrmf.symmetric import factor_symmetric
 from test_kernels import INPUTS, _spread
+from untruncated import untruncated
 
 SPARSE700 = 700  # above jacobi._SUPPORT_FLOOR: its large levels gather
 
@@ -144,9 +145,10 @@ def test_direct_cuts_equal_their_own_runs(name):
     assert isinstance(many, tuple) and len(many) == len(sizes)
     for F, d, rule in zip(many, sizes, rules):
         _same(F, factor_direct(A, d, rule, seed=5))
-    lossless = factor_direct(A, sizes[:2], rules[:2], seed=5, truncate=False)
-    for F, d, rule in zip(lossless, sizes, rules):
-        _same(F, factor_direct(A, d, rule, seed=5, truncate=False))
+    keep_all = Sparsifier("topn", m=n * n)
+    lossless = factor_direct(A, sizes[:2], (keep_all, keep_all), seed=5)
+    for F, d in zip(lossless, sizes):
+        _same(F, factor_direct(A, d, keep_all, seed=5))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -162,8 +164,9 @@ def test_symmetric_and_skew_cuts_equal_their_own_runs(name):
         assert len(many) == len(sizes)
         for F, d in zip(many, sizes):
             _same(F, route(M, d, 6))
-        for F, d in zip(route(M, sizes[:2], 6, truncate=False), sizes):
-            _same(F, route(M, d, 6, truncate=False))
+        parity = route is factor_skew
+        for F, d in zip(untruncated(M, sizes[:2], 6, parity), sizes):
+            _same(F, untruncated(M, d, 6, parity))
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))

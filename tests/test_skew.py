@@ -12,6 +12,7 @@ from mrmf import (
     murnaghan_sparsify,
     reconstruct,
 )
+from untruncated import untruncated
 
 
 def dense(a):
@@ -52,7 +53,7 @@ def test_two_pair_block_diagonal_exact():
 
 def test_untruncated_round_trip():
     K = random_skew(10, seed=4)
-    F = factor_skew(K, 3, seed=2, truncate=False)
+    F = untruncated(K, 3, seed=2, parity=True)
     assert rel_err(K, F) <= 1e-10
 
 
@@ -129,7 +130,7 @@ def test_pairing_lossless_when_already_in_form():
 
 def test_dropped_mass_identity():
     K = random_skew(6, seed=9)
-    full = factor_skew(K, 2, seed=8, truncate=False)
+    full = untruncated(K, 2, seed=8, parity=True)
     trunc = factor_skew(K, 2, seed=8)
     dropped = full.H.to_dense() - trunc.H.to_dense()
     want = np.linalg.norm(dropped) / np.linalg.norm(K.to_dense())
@@ -141,7 +142,7 @@ def test_skewness_preserved_at_every_level():
     K = random_skew(12, seed=6)
     worst = []
     for k in range(11, 1, -1):
-        work = factor_skew(K, k, seed=3, truncate=False).H.to_dense()
+        work = untruncated(K, k, seed=3, parity=True).H.to_dense()
         worst.append(np.max(np.abs(work + work.T)))
     scale = np.max(np.abs(K.to_dense()))
     assert len(worst) == 10
@@ -164,7 +165,7 @@ def test_rayleigh_quotient_vanishes_on_skew():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
 def test_untruncated_round_trip_property(seed, d):
     K = random_skew(7, seed=seed % 997)
-    F = factor_skew(K, d, seed, truncate=False)
+    F = untruncated(K, d, seed, parity=True)
     assert rel_err(K, F) <= 1e-10
 
 

@@ -16,6 +16,7 @@ from mrmf import (
     reconstruct,
 )
 from reference_kernels import givens_matrix
+from untruncated import untruncated
 
 
 def dense(a):
@@ -52,7 +53,7 @@ def test_full_core_is_lossless_with_full_storage():
 
 def test_untruncated_round_trip():
     A = random_symmetric(12, seed=3)
-    F = factor_symmetric(A, 4, seed=1, truncate=False)
+    F = untruncated(A, 4, seed=1, parity=False)
     assert rel_err(A, F) <= 1e-10
     assert len(F.left) == 12 - 4
 
@@ -105,7 +106,7 @@ def test_zeroed_core_reconstructs_zero():
 def test_dropped_mass_identity():
     A = random_symmetric(10, seed=7)
     d, seed = 3, 11
-    full = factor_symmetric(A, d, seed, truncate=False)
+    full = untruncated(A, d, seed, parity=False)
     trunc = factor_symmetric(A, d, seed)
     hbar = full.H.to_dense()
     dropped = hbar - trunc.H.to_dense()
@@ -184,5 +185,5 @@ def test_diagonal_exact_for_every_seed(seed):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_untruncated_round_trip_property(seed, d):
     A = random_symmetric(8, seed=seed % 1000)
-    F = factor_symmetric(A, d, seed, truncate=False)
+    F = untruncated(A, d, seed, parity=False)
     assert rel_err(A, F) <= 1e-10
