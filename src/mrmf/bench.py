@@ -25,7 +25,8 @@ import numpy as np
 from .additive import factor_additive, half_masses, reconstruct_additive, split_budget
 from .cores import Sparsifier
 from .cur import cur_decompose, cur_relative_error, hybrid_compress
-from .data import DecaySpec, MatrixMetadata, fetch_suitesparse, gen_decay_matrix
+from .data import (DecaySpec, MatrixMetadata, fetch_suitesparse, gen_decay_matrix,
+                   is_cache_key, split_key)
 from .direct import factor_direct, reconstruct
 from .matrices import frobenius_relative_error
 from .storage import DENSE, SPARSE_COO, StorageBudget, solve_core_size
@@ -177,9 +178,8 @@ def load_manifest(path):
     """Read distinct 'group/name' lines; blank lines and #-comments are skipped."""
     first_line = {}
     for lineno, stripped in _lines(path):
-        group, slash, name = stripped.partition("/")
-        entry = (group.strip(), name.strip())
-        if not (slash and all(entry)):
+        entry = split_key(stripped)
+        if not is_cache_key(*entry):
             raise ValueError(f"{path}:{lineno}: expected group/name, got {stripped!r}")
         if entry in first_line:  # its runs would repeat seeds and pose as extra trials
             raise ValueError(f"{path}:{lineno}: {stripped!r} repeats line {first_line[entry]}")

@@ -32,7 +32,8 @@ from .bench import (
     sweep_csv,
     sweep_json,
 )
-from .data import fetch_suitesparse, gen_mixed_matrix, parse_matrix_market
+from .data import (fetch_suitesparse, gen_mixed_matrix, is_cache_key, parse_matrix_market,
+                   split_key)
 from .storage import DENSE, SPARSE_COO, StorageBudget
 
 _DEFAULT_CACHE = os.environ.get("MRMF_CACHE_DIR", "cache")
@@ -50,8 +51,8 @@ def _load_matrix(spec, cache_dir):
     """A local .mtx path, or group/name resolved through the cache, stripped as in a manifest."""
     if spec.endswith(".mtx"):
         return parse_matrix_market(Path(spec).read_bytes())
-    group, slash, name = (part.strip() for part in spec.partition("/"))
-    if not (slash and group and name):
+    group, name = split_key(spec)
+    if not is_cache_key(group, name):
         raise ValueError(f"expected group/name or a .mtx path, got {spec!r}")
     return fetch_suitesparse(group, name, cache_dir)
 
@@ -72,9 +73,19 @@ def _cmd_fetch(args):
 
 def _cmd_sweep(args):
     config = load_sweep_config(args.config)
+    csv_path = Path(config.output)  # the JSON report is written beside it
+    if not csv_path.name or csv_path.with_suffix(".json") == csv_path:
+        raise ValueError(f"output {config.output!r} must name a file apart from its .json")
+    json_path = csv_path.with_suffix(".json")
+    for path in (csv_path, json_path):
+        if path.is_dir():
+            raise ValueError(f"sweep output {path} is a directory")
+        under = next(p for p in path.parents if p.exists())
+        if not under.is_dir():
+            raise ValueError(f"sweep output {path} lies under the file {under}")
     result = run_sweep(config, log=print if args.verbose else None)
-    csv_path = _write(config.output, sweep_csv(result))
-    json_path = _write(csv_path.with_suffix(".json"), sweep_json(result, config))
+    _write(csv_path, sweep_csv(result))
+    _write(json_path, sweep_json(result, config))
     print(f"{len(result.rows)} runs, {len(result.failures)} failures")
     print(f"wrote {csv_path} and {json_path}")
     for table in result.win_tables.values():

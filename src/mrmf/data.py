@@ -38,6 +38,7 @@ _HEADER_RE = re.compile(
 # b"\xa0"; b"\xff" is a letter there, as inert in an entry line as U+FFFD
 _NON_ASCII_TO_FF = bytes(range(128)) + b"\xff" * 128
 _WRITE_CHUNK = 1 << 15
+_ATTEMPTS = 3  # downloads of one matrix, 0.5 s then 1 s apart
 
 
 class FetchError(RuntimeError):
@@ -68,6 +69,20 @@ class MatrixMetadata:
             raise ValueError("numerical symmetry is a fraction in [0, 1]")
 
 
+def split_key(text):
+    """(group, name) of a 'group/name' key: split at the first slash, both
+    parts stripped; text without a slash is a name with an empty group."""
+    group, slash, name = text.partition("/")
+    return (group.strip(), name.strip()) if slash else ("", group.strip())
+
+
+def is_cache_key(group, name):
+    """Whether group/name names a file inside the cache: both parts are
+    nonempty, neither is "." or "..", and neither holds "/" or "\\"."""
+    return all(part not in ("", ".", "..") and "/" not in part and "\\" not in part
+               for part in (group, name))
+
+
 def _scrape_comments(comments):
     """Pull 'name: group/name' and 'kind: ...' out of collection-style comments."""
     name, group, kind = "", "", ""
@@ -75,11 +90,7 @@ def _scrape_comments(comments):
         body = line.lstrip("%").strip()
         low = body.lower()
         if low.startswith("name:"):
-            full = body[5:].strip()
-            if "/" in full:
-                group, name = (part.strip() for part in full.split("/", 1))
-            else:
-                name = full
+            group, name = split_key(body[5:])
         elif low.startswith("kind:"):
             kind = body[5:].strip()
     return name, group, kind
@@ -242,17 +253,21 @@ def _extract_mtx(archive_bytes, name):
     raise FetchError(f"archive for {name} does not contain {want}")
 
 
-def fetch_suitesparse(group, name, cache_dir, http_get=None, retries=3, backoff=0.5):
+def fetch_suitesparse(group, name, cache_dir, http_get=None):
     """Fetch a collection matrix as Matrix Market text, caching the .mtx file.
 
     Cache layout is cache_dir/group/name.mtx; a warm cache is served with no
-    network use. Downloads retry with exponential backoff (404 is final).
+    network use. A group/name that is_cache_key refuses raises ValueError
+    before the cache or the network is touched. A download makes three
+    attempts (_ATTEMPTS), 0.5 s then 1 s apart; a 404 is final.
     http_get(url) -> bytes is injectable for tests and offline mirrors.
     cache writes are atomic (temp file + rename), so concurrent fetches of
     the same matrix are safe. A cached file that no longer parses is renamed
     to name.mtx.corrupt and reported as a FetchError, so the next fetch
     downloads it again.
     """
+    if not is_cache_key(group, name):
+        raise ValueError(f"expected a group/name inside the cache, got {group!r}/{name!r}")
     cache_path = Path(cache_dir) / group / f"{name}.mtx"
     if cache_path.exists():
         try:
@@ -268,7 +283,7 @@ def fetch_suitesparse(group, name, cache_dir, http_get=None, retries=3, backoff=
     get = http_get if http_get is not None else _default_http_get
     url = SUITESPARSE_URL.format(group=group, name=name)
     last_error = None
-    for attempt in range(retries):
+    for attempt in range(_ATTEMPTS):
         try:
             archive = get(url)
             break
@@ -276,10 +291,10 @@ def fetch_suitesparse(group, name, cache_dir, http_get=None, retries=3, backoff=
             raise
         except Exception as exc:
             last_error = exc
-            if attempt + 1 < retries:
-                time.sleep(backoff * (2**attempt))
+            if attempt + 1 < _ATTEMPTS:
+                time.sleep(0.5 * 2**attempt)
     else:
-        raise FetchError(f"download failed after {retries} attempts: {last_error}")
+        raise FetchError(f"download failed after {_ATTEMPTS} attempts: {last_error}")
 
     mtx = _extract_mtx(archive, name)
     A, meta = parse_matrix_market(mtx)  # validate before caching

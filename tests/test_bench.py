@@ -350,6 +350,16 @@ def test_load_manifest_refuses_empty_group_or_name(tmp_path, line):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("line", ["../notes", "./x", "g//tmp/x", "a/b/c", "a\\b/c"])
+def test_load_manifest_refuses_a_key_outside_the_cache(tmp_path, line):
+    # each would make fetch_suitesparse read or write a file outside the cache
+    path = tmp_path / "manifest.txt"
+    path.write_text(f"Test/tiny\n{line}\n")
+    with pytest.raises(ValueError, match=rf"manifest.txt:2: expected group/name, got "
+                                         rf"{re.escape(repr(line))}$"):
+        load_manifest(path)
+
+
 def test_compression_report_validation():
     meta = MatrixMetadata(name="m", group="G", n=4, nnz=16, kind="", numerical_symmetry=0.0)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mrmf
+import mrmf.cli
 import mrmf.data
 from mrmf import SquareMatrix, gen_mixed_matrix, parse_matrix_market, write_matrix_market
 from mrmf.bench import (
@@ -284,6 +285,28 @@ def test_factor_empty_group_or_name_is_usage_error(cli_env, capsys, monkeypatch,
     assert f"expected group/name or a .mtx path, got {spec!r}" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["../notes", "./x", "g//tmp/x", "a/b/c", "a\\b/c"])
+def test_factor_key_outside_the_cache_is_usage_error(capsys, monkeypatch, tmp_path, spec):
+    # the files beside the cache are what those keys would have named
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cache").mkdir()
+    for name in ("notes.mtx", "x.mtx"):
+        (tmp_path / name).write_bytes(b"not a matrix market file\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_download(url, timeout=60.0):
+        pytest.fail(f"a key outside the cache reached the download: {url}")
+
+    monkeypatch.setattr(mrmf.data, "_default_http_get", no_download)
+    rc = main(["factor", "--matrix", spec, "--method", "cur", "--fraction", "0.1",
+               "--cache-dir", "cache"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"expected group/name or a .mtx path, got {spec!r}" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "notes.mtx").read_bytes() == b"not a matrix market file\n"
+
+
 @pytest.mark.parametrize("command", ["factor", "rankscan"])
 def test_infinite_fraction_is_usage_error(cli_env, capsys, tmp_path, command):
     _, _, _, mtx = cli_env
@@ -472,6 +495,38 @@ def test_sweep_unknown_accounting_is_refused_before_any_load(cli_env, capsys, tm
     assert rc == 2
     assert "unknown accounting mode 'bits'" in captured.err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("output,message", [
+    ("", "output '' must name a file apart from its .json"),
+    ("res.json", "output 'res.json' must name a file apart from its .json"),
+    ("taken", "sweep output taken is a directory"),
+    ("taken.csv", "sweep output taken.json is a directory"),
+    ("notes.txt/res.csv", "sweep output notes.txt/res.csv lies under the file notes.txt"),
+], ids=["empty", "json", "directory", "json-directory", "under-a-file"])
+def test_sweep_output_is_checked_before_the_sweep_runs(cli_env, capsys, tmp_path, monkeypatch,
+                                                       output, message):
+    # a .json output would be overwritten by its own report, and a directory
+    # or a file on the way would fail only after the whole sweep had run
+    _, cache, manifest, _ = cli_env
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken.json").mkdir()
+    (tmp_path / "notes.txt").write_text("notes\n")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(f"manifest = {manifest}\nmethods = cur\nfractions = 0.25\n"
+                      f"output = {output}\ncache_dir = {cache}\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_run(*args, **kwargs):
+        pytest.fail("the sweep ran before its output was checked")
+
+    monkeypatch.setattr(mrmf.cli, "run_sweep", no_run)
+    rc = main(["sweep", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error: {message}" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["fetch", "sweep"])
