@@ -105,6 +105,73 @@ MUTANTS = (
         "if not csv_path.name:",
         ("tests/test_cli.py::test_sweep_output_is_checked_before_the_sweep_runs[json]",),
     ),
+    Mutant(
+        "record-counts-one", "src/mrmf/storage.py",
+        "return sum(a.size * len(a.dtype.names or (a.dtype,)) for a in arrays)",
+        "return sum(a.size for a in arrays)",
+        ("tests/test_factorization.py::test_storage_count_is_the_stored_arrays",
+         "tests/test_bench.py::test_predicted_storage_matches_actual_runs",
+         _FINGERPRINT),
+    ),
+    Mutant(
+        "conjugate-counts-twice", "src/mrmf/direct.py",
+        "twins = () if self.conjugate else (self.right, self.H.col_set)",
+        "twins = (self.right, self.H.col_set)",
+        ("tests/test_sym.py::test_full_core_is_lossless_with_full_storage",
+         "tests/test_factorization.py::test_conjugate_routes_store_one_sequence_and_core_set",
+         "tests/test_factorization.py::test_storage_count_is_the_stored_arrays",
+         _FINGERPRINT),
+    ),
+    Mutant(
+        "cur-ids-uncounted", "src/mrmf/cur.py",
+        "stored_scalars(self.C, self.U, self.R, self.col_ids, self.row_ids)",
+        "stored_scalars(self.C, self.U, self.R)",
+        ("tests/test_lowrank.py::test_storage_golden",
+         "tests/test_bench.py::test_predicted_storage_matches_actual_runs",
+         "tests/test_factorization.py::test_storage_count_is_the_stored_arrays",
+         _FINGERPRINT),
+    ),
+    Mutant(
+        "non-finite-let-through", "src/mrmf/matrices.py",
+        "if not np.all(np.isfinite(arr)):", "if False:",
+        ("tests/test_matcore.py::test_non_finite_entries_are_refused_in_both_forms",
+         "tests/test_dataio.py::test_parse_error_taxonomy",
+         "tests/test_cli.py::test_factor_non_finite_entry_is_usage_error"),
+    ),
+    Mutant(
+        "coo-lengths-unchecked", "src/mrmf/matrices.py",
+        "if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:",
+        "if rows.ndim != 1:",
+        ("tests/test_matcore.py::test_from_coo_refuses_unequal_lengths_and_out_of_range",),
+    ),
+    Mutant(
+        "coo-range-unchecked", "src/mrmf/matrices.py",
+        "if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):",
+        "if False:",
+        ("tests/test_matcore.py::test_from_coo_refuses_unequal_lengths_and_out_of_range",),
+    ),
+    Mutant(
+        "empty-parity-unguarded", "src/mrmf/matrices.py",
+        "    if not a.size:\n        return\n", "",
+        ("tests/test_matcore.py::test_parity_check_passes_a_coo_matrix_without_entries",),
+    ),
+    Mutant(
+        "unknown-method-let-through", "src/mrmf/bench.py",
+        'if method != "cur" and _route(method) != "direct":', "if False:",
+        ("tests/test_bench.py::test_compression_error_refuses_an_unknown_method[symmetric]",),
+    ),
+    Mutant(
+        "low-mass-draw-repeats", "src/mrmf/cur.py",
+        "extra = rng.choice(rest, size=r - nz, replace=False)",
+        "extra = rng.choice(rest, size=r - nz, replace=True)",
+        ("tests/test_lowrank.py::test_rank_above_the_nonzero_columns_draws_the_rest_without_repeats",),
+    ),
+    Mutant(
+        "out-check-skipped", "src/mrmf/cli.py",
+        "for path in map(Path, paths):", "for path in map(Path, paths[:0]):",
+        ("tests/test_cli.py::test_out_is_checked_before_any_work",
+         "tests/test_cli.py::test_sweep_output_is_checked_before_the_sweep_runs"),
+    ),
 )
 
 

@@ -47,6 +47,16 @@ def _write(path, text):
     return path
 
 
+def _check_outputs(label, *paths):
+    """Refuse, before any work, an output path that is a directory or lies under a file."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ValueError(f"{label} {path} is a directory")
+        under = next(p for p in path.parents if p.exists())
+        if not under.is_dir():
+            raise ValueError(f"{label} {path} lies under the file {under}")
+
+
 def _load_matrix(spec, cache_dir):
     """A local .mtx path, or group/name resolved through the cache, stripped as in a manifest."""
     if spec.endswith(".mtx"):
@@ -77,12 +87,7 @@ def _cmd_sweep(args):
     if not csv_path.name or csv_path.with_suffix(".json") == csv_path:
         raise ValueError(f"output {config.output!r} must name a file apart from its .json")
     json_path = csv_path.with_suffix(".json")
-    for path in (csv_path, json_path):
-        if path.is_dir():
-            raise ValueError(f"sweep output {path} is a directory")
-        under = next(p for p in path.parents if p.exists())
-        if not under.is_dir():
-            raise ValueError(f"sweep output {path} lies under the file {under}")
+    _check_outputs("sweep output", csv_path, json_path)
     result = run_sweep(config, log=print if args.verbose else None)
     _write(csv_path, sweep_csv(result))
     _write(json_path, sweep_json(result, config))
@@ -97,6 +102,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_decay(args):
+    _check_outputs("--out", args.out)
     rows = run_decay_sweep(args.n, args.t_list, args.seed, args.core_size)
     lines = [f"{t:.17g},{e:.17g}\n" for t, e in rows]
     _write(args.out, "".join(["t,error\n"] + lines))
@@ -107,6 +113,7 @@ def _cmd_decay(args):
 
 
 def _cmd_rankscan(args):
+    _check_outputs("--out", args.out)
     A = _load_matrix(args.matrix, args.cache_dir)[0] if args.matrix else gen_mixed_matrix()
     rows = run_rank_sweep(
         A, args.r_list, fraction=args.fraction, seed=args.seed, accounting=args.accounting
@@ -126,6 +133,8 @@ def _cmd_rankscan(args):
 
 
 def _cmd_factor(args):
+    if args.out:
+        _check_outputs("--out", args.out)
     A, meta = _load_matrix(args.matrix, args.cache_dir)
     scalars = StorageBudget(args.fraction, args.accounting).scalars(A)
     seed = run_seed(args.seed, meta, args.method, 0)  # a sweep's trial 0

@@ -68,10 +68,6 @@ class CoreSparse:
         h[self.offcore["row"], self.offcore["col"]] = self.offcore["val"]
         return h
 
-    def storage_scalars(self, index_scalars):
-        """Scalar count: dense block + 3 per off-core entry + index overhead."""
-        return self.core.size + 3 * len(self.offcore) + index_scalars
-
 
 def _offcore_mask(n, row_set, col_set):
     row_in = np.zeros(n, dtype=bool)

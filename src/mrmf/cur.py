@@ -16,7 +16,7 @@ import numpy as np
 from .cores import GREEDY_TOP_N, Sparsifier
 from .direct import kept_by, sweep_and_truncate
 from .matrices import SquareMatrix, frobenius_relative_error, frozen, index_set
-from .storage import solve_core_size
+from .storage import solve_core_size, stored_scalars
 
 PINV_RCOND = 1e-12
 
@@ -47,18 +47,8 @@ class CurFactors:
                 raise ValueError("index sets do not match rank")
 
     @property
-    def n(self):
-        return self.C.shape[0]
-
-    @property
-    def r(self):
-        return self.C.shape[1]
-
-    @property
     def storage_scalars(self):
-        """Stored scalars: entries of C, U, R plus one index per kept row/column."""
-        n, r = self.n, self.r
-        return 2 * n * r + r * r + 2 * r
+        return stored_scalars(self.C, self.U, self.R, self.col_ids, self.row_ids)
 
 
 def _sample_ids(rng, weights, r):

@@ -21,7 +21,7 @@ import tarfile
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -312,9 +312,7 @@ def fetch_suitesparse(group, name, cache_dir, http_get=None):
 
 def _pin_identity(meta, group, name):
     """Requested group/name win over whatever the file's comments claim."""
-    if meta.group == group and meta.name == name:
-        return meta
-    return MatrixMetadata(name, group, meta.n, meta.nnz, meta.kind, meta.numerical_symmetry)
+    return replace(meta, group=group, name=name)
 
 
 @dataclass(frozen=True)

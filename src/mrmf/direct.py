@@ -19,6 +19,7 @@ import numpy as np
 from .cores import CoreSparse, Sparsifier, sparsify
 from .jacobi import conjugation_sweep, two_basis_reconstruct, two_basis_sweep, unpermute
 from .matrices import ROTATION, SquareMatrix, check_parity, frozen
+from .storage import stored_scalars
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +62,8 @@ class Factorization:
 
     @property
     def storage_scalars(self):
-        if self.conjugate:
-            return 3 * len(self.left) + self.H.storage_scalars(len(self.core_rows))
-        idx = len(self.core_rows) + len(self.core_cols)
-        return 3 * (len(self.left) + len(self.right)) + self.H.storage_scalars(idx)
+        twins = () if self.conjugate else (self.right, self.H.col_set)
+        return stored_scalars(self.left, self.H.row_set, self.H.core, self.H.offcore, *twins)
 
 
 def sizes_of(size):

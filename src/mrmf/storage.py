@@ -1,8 +1,8 @@
 """Storage accounting: the common scalar ruler for every method.
 
 Every stored number or index counts as one scalar, so a result's count is
-the number of scalars in the arrays its reconstruction reads. A Givens
-rotation is one matrices.ROTATION record, 3 scalars (i, j, theta); a
+stored_scalars, the one ruler, of the arrays its reconstruction reads. A
+Givens rotation is one matrices.ROTATION record, 3 scalars (i, j, theta); a
 truncated core is its dense block plus one 3-scalar matrices.ENTRY record
 per off-core entry plus its index sets; CUR counts the entries of C, U and
 R plus the selected row/column ids. The retired labels a factorization
@@ -45,6 +45,11 @@ class StorageBudget:
         if not math.isfinite(k):
             raise ValueError(f"fraction {self.fraction} of {self.base(A)} scalars is not finite")
         return int(math.ceil(k))
+
+
+def stored_scalars(*arrays):
+    """Scalars held by arrays: one per element, or one per field of a record (ROTATION: 3)."""
+    return sum(a.size * len(a.dtype.names or (a.dtype,)) for a in arrays)
 
 
 def predicted_storage(n, method, d):

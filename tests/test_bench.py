@@ -187,6 +187,14 @@ def test_solve_takes_scalar_count():
     assert solve_core_size(A, "cur", np.int64(625)) == want
 
 
+@pytest.mark.parametrize("method", ["symmetric", "skew", "svd"])
+def test_compression_error_refuses_an_unknown_method(method):
+    # symmetric would otherwise solve as a core size and be built by hybrid_compress
+    A = _random_square(12, 3)
+    with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+        compression_error(A, method, A.n * A.n, 0)
+
+
 def test_solve_below_minimum_raises():
     A = _random_square(16, 6)
     assert minimum_storage(16, "cur") == 35

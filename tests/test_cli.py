@@ -529,6 +529,49 @@ def test_sweep_output_is_checked_before_the_sweep_runs(cli_env, capsys, tmp_path
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("out,message", [
+    ("taken", "--out taken is a directory"),
+    ("notes.txt/d.csv", "--out notes.txt/d.csv lies under the file notes.txt"),
+], ids=["directory", "under-a-file"])
+@pytest.mark.parametrize("command", ["decay", "rankscan", "factor"])
+def test_out_is_checked_before_any_work(cli_env, capsys, tmp_path, monkeypatch, command, out,
+                                        message):
+    # found after the run, a bad --out would fail with none of the run's results shown
+    _, _, _, mtx = cli_env
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "notes.txt").write_text("notes\n")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        pytest.fail(f"{command} started work before its --out was checked")
+
+    for name in ("run_decay_sweep", "run_rank_sweep", "gen_mixed_matrix", "_load_matrix"):
+        monkeypatch.setattr(mrmf.cli, name, no_work)
+    argv = {
+        "decay": ["decay"],
+        "rankscan": ["rankscan", "--r-list", "2"],
+        "factor": ["factor", "--matrix", str(mtx), "--method", "cur", "--fraction", "0.5"],
+    }[command]
+    rc = main(argv + ["--out", out])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_factor_non_finite_entry_is_usage_error(capsys, tmp_path, value):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 {value}\n")
+    rc = main(["factor", "--matrix", str(path), "--method", "cur", "--fraction", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: matrix entries must be finite" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["fetch", "sweep"])
 def test_repeated_manifest_line_is_usage_error(cli_env, capsys, tmp_path, command):
     _, cache, _, _ = cli_env

@@ -158,6 +158,9 @@ def test_writer_17_digit_round_trip():
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n% no entries\n\n", "promises"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", "range"),
         ("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n", "range"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 inf\n", "finite"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n2 1 -inf\n", "finite"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 nan\n", "finite"),
         (
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n1 1 2.0\n",
             "duplicate",

@@ -94,6 +94,20 @@ def test_diagonal_dominant_rank_one():
     assert abs(cur_relative_error(A, f) - want) <= 1e-12
 
 
+def test_rank_above_the_nonzero_columns_draws_the_rest_without_repeats():
+    # two nonzero columns: each is drawn, and the deficit comes from the zero columns
+    a = np.zeros((8, 8))
+    a[:, [2, 5]] = np.random.default_rng(6).standard_normal((8, 2))
+    A = dense(a)
+    for r in (4, 6, 8):
+        for seed in range(4):
+            f = cur_decompose(A, r, seed=seed)
+            ids = f.col_ids.tolist()
+            assert len(ids) == r and ids == sorted(set(ids)), (r, seed)
+            assert {2, 5} <= set(ids)
+            assert cur_relative_error(A, f) <= 1e-12
+
+
 # ---------------------------------------------------------------- storage
 
 

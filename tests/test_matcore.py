@@ -22,6 +22,7 @@ from mrmf import (
     split_symmetric_skew,
 )
 from mrmf.jacobi import conjugate_reconstruct, two_basis_reconstruct
+from mrmf.matrices import check_parity
 from reference_kernels import givens_matrix
 
 
@@ -156,6 +157,29 @@ def test_empty_matrix_is_refused_in_both_forms():
                   lambda: SquareMatrix.from_coo(0, [], [], [])):
         with pytest.raises(MatrixFormatError, match="matrix dimension must be positive"):
             build()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_entries_are_refused_in_both_forms(bad):
+    with pytest.raises(MatrixFormatError, match="matrix entries must be finite"):
+        SquareMatrix.from_dense([[1.0, 0.0], [bad, 2.0]])
+    with pytest.raises(MatrixFormatError, match="matrix entries must be finite"):
+        SquareMatrix.from_coo(2, [0, 1], [0, 0], [1.0, bad])
+
+
+def test_from_coo_refuses_unequal_lengths_and_out_of_range():
+    with pytest.raises(MatrixFormatError, match="coordinate arrays must be equal-length 1-d"):
+        SquareMatrix.from_coo(3, [0, 1], [0], [1.0, 2.0])
+    for rows, cols in (([3], [0]), ([0], [-1])):
+        with pytest.raises(MatrixFormatError, match="coordinate out of range"):
+            SquareMatrix.from_coo(3, rows, cols, [1.0])
+
+
+def test_parity_check_passes_a_coo_matrix_without_entries():
+    # the zero matrix is both symmetric and skew; its deviation has no maximum
+    A = SquareMatrix.from_coo(4, [], [], [])
+    for skew in (False, True):
+        check_parity(A, skew)
 
 
 # ---------------------------------------------------------------- rotations
